@@ -10,7 +10,8 @@ never upgraded to "No".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, field
 
 from .bundle import BundleClass
 from .exactnum import QmodZ, Residue
@@ -154,16 +155,31 @@ def theta7_neg(a: Theta7Element) -> Theta7Element:
 
 @dataclass(frozen=True)
 class CensusClass:
-    """One diffeomorphism class found in a census window."""
+    """One diffeomorphism class found in a census window.
+
+    The members are stored as one arithmetic progression of step 112n per
+    residue class of k, so a class costs the same whatever the window length.
+    """
 
     representative: int
-    members: tuple[int, ...]
+    member_ranges: tuple[range, ...]
     mu: QmodZ | None
+    members_count: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        # floor arithmetic, since len() of a range overflows past sys.maxsize
+        count = sum(max(0, -((r.start - r.stop) // r.step)) for r in self.member_ranges)
+        object.__setattr__(self, "members_count", count)
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        """Every member, in increasing order (materialized on each access)."""
+        return tuple(heapq.merge(*self.member_ranges))
 
     def to_dict(self) -> dict:
         return {
             "representative": self.representative,
-            "members_count": len(self.members),
+            "members_count": self.members_count,
             "mu": str(self.mu) if self.mu is not None else None,
         }
 
@@ -198,7 +214,7 @@ class CensusReport:
         lines = ["representative\tmembers_count\tmu"]
         for c in self.classes:
             mu = str(c.mu) if c.mu is not None else "-"
-            lines.append(f"{c.representative}\t{len(c.members)}\t{mu}")
+            lines.append(f"{c.representative}\t{c.members_count}\t{mu}")
         return "\n".join(lines)
 
 
@@ -209,36 +225,49 @@ def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusRe
     are keyed by the (optionally folded) mu value, which is complete, so no
     pair is left Unknown.  For n > 1 classes are keyed by k mod 112n; pairs in
     different classes carry no verdict and are reported as unknown.
+
+    Cost model: O(112n), independent of the window length.  Both keys depend
+    only on k mod 112n (mu(k) = (k^2 - 1)/224 mod 1 has period 112), so each
+    residue r == n (mod 2) is visited once: its members in the window form
+    range(first, k_to + 1, 112n), counted by floor arithmetic, and for n = 1
+    mu_invariant is evaluated once per residue at its first member.
     """
     if n <= 0:
         raise ValueError("census requires n > 0")
-    valid = [k for k in range(k_from, k_to + 1) if (k - n) % 2 == 0]
-    skipped = (k_to - k_from + 1) - len(valid)
-
-    groups: dict[object, list[int]] = {}
-    mus: dict[object, QmodZ | None] = {}
-    for k in valid:
+    if k_to < k_from:
+        raise ValueError(f"census window [{k_from}, {k_to}] is empty: requires k_from <= k_to")
+    step = 112 * n
+    groups: dict[object, list[range]] = {}
+    for r in range(n % 2, step, 2):
+        first = k_from + (r - k_from) % step
+        if first > k_to:
+            continue
         if n == 1:
-            mu = mu_invariant(BundleClass(1, k))
-            if unoriented:
-                mu = fold_orientation(mu)
-            key: object = mu
-            mus[key] = mu
+            mu = mu_invariant(BundleClass(1, first))
+            key: object = fold_orientation(mu) if unoriented else mu
         else:
-            key = k % (112 * n)
-            mus[key] = None
-        groups.setdefault(key, []).append(k)
+            key = r
+        groups.setdefault(key, []).append(range(first, k_to + 1, step))
 
-    classes = tuple(
-        CensusClass(representative=members[0], members=tuple(members), mu=mus[key])
-        for key, members in sorted(groups.items(), key=lambda item: item[1][0])
+    classes = sorted(
+        (
+            CensusClass(
+                representative=min(m.start for m in ranges),
+                member_ranges=tuple(ranges),
+                mu=key if n == 1 else None,
+            )
+            for key, ranges in groups.items()
+        ),
+        key=lambda c: c.representative,
     )
+    valid = sum(c.members_count for c in classes)
+    skipped = (k_to - k_from + 1) - valid
 
     if n == 1:
         unknown_pairs = 0
     else:
-        total = len(valid) * (len(valid) - 1) // 2
-        within = sum(len(c.members) * (len(c.members) - 1) // 2 for c in classes)
+        total = valid * (valid - 1) // 2
+        within = sum(c.members_count * (c.members_count - 1) // 2 for c in classes)
         unknown_pairs = total - within
 
     return CensusReport(
@@ -247,6 +276,6 @@ def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusRe
         k_to=k_to,
         unoriented=unoriented,
         skipped=skipped,
-        classes=classes,
+        classes=tuple(classes),
         unknown_pairs_count=unknown_pairs,
     )

@@ -16,6 +16,7 @@ available for census and family reports only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -134,7 +135,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         )
         for c in report.classes:
             mu = str(c.mu) if c.mu is not None else "-"
-            print(f"  k={c.representative}: {len(c.members)} members, mu={mu}")
+            print(f"  k={c.representative}: {c.members_count} members, mu={mu}")
     else:
         _emit_json(report.to_dict())
     return 0
@@ -176,7 +177,9 @@ def _add_format_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=FORMATS, default=None, help="output format")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="spherectl",
         description="Exact invariants, classification and moduli-space separation "

@@ -124,10 +124,8 @@ def mu_invariant(b: BundleClass, o: Orientation = POSITIVE) -> QmodZ:
         raise ValueError("mu-invariant is only defined for |euler| = 1")
     if b.pont % 2 == 0:
         raise ValueError("mu-invariant requires odd k")
-    p1sq_w = Rational(4 * b.pont * b.pont, abs(b.euler))
-    sign_w = Rational(1)
-    mu = QmodZ.from_rational((p1sq_w - Rational(4) * sign_w) / Rational(2**7 * 7))
-    return mu if o.sign == 1 else qmodz_neg(mu)
+    # (4k^2 - 4*1) / 896 = (k^2 - 1) / 224, canonicalized once by QmodZ
+    return QmodZ(o.sign * (b.pont * b.pont - 1), 224)
 
 
 def fold_orientation(q: QmodZ) -> QmodZ:

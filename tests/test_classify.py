@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from spherectl.bundle import make_bundle
+from spherectl import classify
+from spherectl.bundle import BundleClass, make_bundle
 from spherectl.classify import (
     CONGRUENCE_MOD_2N,
     CONGRUENCE_MOD_112N,
@@ -25,7 +27,7 @@ from spherectl.classify import (
     unoriented_diffeomorphic,
 )
 from spherectl.exactnum import QmodZ, qmodz_add
-from spherectl.space import mu_invariant, realized_mu_set, realized_mu_set_unoriented
+from spherectl.space import fold_orientation, mu_invariant, realized_mu_set, realized_mu_set_unoriented
 
 # a small population covering homotopy spheres, torsion, negative euler
 SAMPLE = [
@@ -225,3 +227,111 @@ class TestCensus:
         tsv = census(1, 1, 223).to_tsv().splitlines()
         assert tsv[0] == "representative\tmembers_count\tmu"
         assert len(tsv) == 17
+
+
+def census_reference(n: int, k_from: int, k_to: int, unoriented: bool = False) -> tuple[dict, str, list]:
+    """The window-walking census that the closed form replaced: one mu per k.
+
+    Returns what the closed form must reproduce: the to_dict() payload, the
+    to_tsv() text and each class's members, all built the old way.
+    """
+    valid = [k for k in range(k_from, k_to + 1) if (k - n) % 2 == 0]
+    skipped = (k_to - k_from + 1) - len(valid)
+    groups: dict[object, list[int]] = {}
+    mus: dict[object, QmodZ | None] = {}
+    for k in valid:
+        if n == 1:
+            mu = mu_invariant(BundleClass(1, k))
+            if unoriented:
+                mu = fold_orientation(mu)
+            key: object = mu
+            mus[key] = mu
+        else:
+            key = k % (112 * n)
+            mus[key] = None
+        groups.setdefault(key, []).append(k)
+    classes = [(members[0], tuple(members), mus[key])
+               for key, members in sorted(groups.items(), key=lambda item: item[1][0])]
+    if n == 1:
+        unknown_pairs = 0
+    else:
+        within = sum(len(m) * (len(m) - 1) // 2 for _, m, _ in classes)
+        unknown_pairs = len(valid) * (len(valid) - 1) // 2 - within
+    payload = {
+        "n": n,
+        "range": [k_from, k_to],
+        "unoriented": unoriented,
+        "skipped": skipped,
+        "classes": [{"representative": rep, "members_count": len(m), "mu": str(mu) if mu is not None else None}
+                    for rep, m, mu in classes],
+        "unknown_pairs_count": unknown_pairs,
+    }
+    lines = ["representative\tmembers_count\tmu"]
+    lines += [f"{rep}\t{len(m)}\t{str(mu) if mu is not None else '-'}" for rep, m, mu in classes]
+    return payload, "\n".join(lines), [m for _, m, _ in classes]
+
+
+class TestCensusClosedForm:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 5, 7]),
+        k_from=st.integers(min_value=-2000, max_value=2000),
+        length=st.one_of(st.integers(min_value=1, max_value=111), st.integers(min_value=112, max_value=2000)),
+        unoriented=st.booleans(),
+    )
+    @example(n=1, k_from=2, length=1, unoriented=False)  # no valid k at all
+    @example(n=2, k_from=1, length=1, unoriented=True)
+    @example(n=1, k_from=-60, length=111, unoriented=True)  # straddles 0
+    @example(n=7, k_from=-784, length=1569, unoriented=False)
+    def test_matches_window_walking_reference(self, n, k_from, length, unoriented):
+        k_to = k_from + length - 1
+        report = census(n, k_from, k_to, unoriented=unoriented)
+        payload, tsv, members = census_reference(n, k_from, k_to, unoriented)
+        assert report.to_dict() == payload
+        assert report.to_tsv() == tsv
+        assert [c.members for c in report.classes] == members
+
+    @pytest.mark.parametrize("unoriented", [False, True])
+    def test_cost_independent_of_window_length(self, monkeypatch, unoriented):
+        calls = []
+
+        def counting_mu(*args):
+            calls.append(args)
+            return mu_invariant(*args)
+
+        monkeypatch.setattr(classify, "mu_invariant", counting_mu)
+        k_from = -123_456_789
+        k_to = k_from + 10**12 - 1
+        report = census(1, k_from, k_to, unoriented=unoriented)
+        assert len(calls) <= 56
+
+        # each odd residue r mod 112 has floor((k_to - r)/112) - floor((k_from - 1 - r)/112) members
+        want: dict[QmodZ, int] = {}
+        for r in range(1, 112, 2):
+            mu = mu_invariant(make_bundle(1, r))
+            key = fold_orientation(mu) if unoriented else mu
+            want[key] = want.get(key, 0) + (k_to - r) // 112 - (k_from - 1 - r) // 112
+        assert {c.mu: c.members_count for c in report.classes} == want
+        assert len(report.classes) == (11 if unoriented else 16)
+        assert report.skipped == 10**12 // 2
+        assert report.unknown_pairs_count == 0
+
+    def test_counts_past_sys_maxsize(self):
+        report = census(3, -(10**30), 10**30)
+        assert len(report.classes) == 168
+        assert sum(c.members_count for c in report.classes) == 10**30
+        assert report.skipped == 10**30 + 1
+        first = report.classes[0]
+        assert first.representative == -(10**30) + 1
+        assert first.to_dict()["members_count"] == (2 * 10**30 - 1) // 336 + 1
+
+    def test_members_is_the_sorted_tuple(self):
+        report = census(1, 1, 1000, unoriented=True)
+        for c in report.classes:
+            assert c.members == tuple(sorted(c.members))
+            assert len(c.members) == c.members_count
+            assert c.members[0] == c.representative
+
+    def test_rejects_reversed_window(self):
+        with pytest.raises(ValueError, match="k_from <= k_to"):
+            census(1, 10, 1)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from spherectl import cli
 from spherectl.cli import main
 
 
@@ -229,3 +230,33 @@ class TestOutputContract:
         code, out, _ = run(capsys, "invariants", "--n", "1", "--k", "-5")
         assert code == 0
         assert json.loads(out)["mu"] == "3/28"
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_flags_do_not_leak_between_calls(self, capsys):
+        code, out, _ = run(capsys, "census", "--n", "1", "--from", "1", "--to", "223", "--unoriented")
+        assert code == 0
+        assert json.loads(out)["unoriented"] is True
+        code, out, _ = run(capsys, "census", "--n", "1", "--from", "1", "--to", "223")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["unoriented"] is False
+        assert len(payload["classes"]) == 16
+
+
+class TestCensusWindow:
+    def test_reversed_window_exit_2(self, capsys):
+        code, out, err = run(capsys, "census", "--n", "1", "--from", "10", "--to", "1")
+        assert code == 2
+        assert out == ""
+        assert "k_from <= k_to" in err
+
+    def test_single_point_window(self, capsys):
+        code, out, _ = run(capsys, "census", "--n", "1", "--from", "2", "--to", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["skipped"] == 1
+        assert payload["classes"] == []

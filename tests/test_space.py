@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spherectl.bundle import BundleClass, NEGATIVE, POSITIVE, make_bundle
 from spherectl.exactnum import QmodZ, Rational, qmodz_neg
@@ -21,6 +22,14 @@ def mu_closed_form(k: int) -> QmodZ:
     assert k % 2 == 1
     h = (k + 1) // 2
     return QmodZ(h * (h - 1) // 2, 28)
+
+
+def mu_index_formula(b: BundleClass, o=POSITIVE) -> QmodZ:
+    """Reference: mu = (p1^2[W] - 4*sign(W)) / (2^7 * 7) in exact rationals."""
+    p1sq_w = Rational(4 * b.pont * b.pont, abs(b.euler))
+    sign_w = Rational(1)
+    mu = QmodZ.from_rational((p1sq_w - Rational(4) * sign_w) / Rational(2**7 * 7))
+    return mu if o.sign == 1 else qmodz_neg(mu)
 
 
 class TestCohomology:
@@ -175,3 +184,15 @@ class TestDossier:
     def test_is_homotopy_sphere_iff_unit_euler(self):
         assert is_homotopy_sphere(make_bundle(-1, 5))
         assert not is_homotopy_sphere(make_bundle(3, 5))
+
+
+class TestMuNativeInts:
+    @given(
+        h=st.one_of(st.integers(min_value=-(10**4), max_value=10**4),
+                    st.integers(min_value=-(10**1999), max_value=10**1999)),
+        euler=st.sampled_from([1, -1]),
+        o=st.sampled_from([POSITIVE, NEGATIVE]),
+    )
+    def test_matches_rational_index_formula(self, h, euler, o):
+        b = make_bundle(euler, 2 * h + 1)
+        assert mu_invariant(b, o) == mu_index_formula(b, o)
