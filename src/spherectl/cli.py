@@ -20,10 +20,16 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .bundle import InvalidBundleError, NEGATIVE, POSITIVE, make_bundle
 from .classify import NO, YES, census, gz_family, oriented_diffeomorphic, unoriented_diffeomorphic
-from .moduli import DISTINCT_COMPONENTS, infinite_components_report, separation_certificate
+from .moduli import (
+    DISTINCT_COMPONENTS,
+    ComponentsReport,
+    infinite_components_report,
+    separation_certificate,
+)
 from .space import dossier, realized_mu_set, realized_mu_set_unoriented
 
 FORMATS = ("json", "tsv", "pretty")
@@ -102,12 +108,45 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return 0 if cert.verdict == DISTINCT_COMPONENTS else 3
 
 
+def _components_json(report: ComponentsReport, quote_provenance: bool) -> str:
+    """json.dumps(report.to_dict(quote_provenance), indent=2, sort_keys=True), built
+    from one template per report instead of one dict per certificate.
+
+    All certificates of a report share n, sign_X, ahat, the curvature classes,
+    the derivation note and the provenance.  So the first certificate is dumped
+    once, with slots for the fields that vary (k0, k1, the two metric labels,
+    p1sq_X, verdict), and each certificate fills the slots.  Those values are
+    ints, "GZ(k)" labels, "num/den" strings and verdict names, none of which
+    JSON escapes.
+    """
+    text = json.dumps(
+        replace(report, certificates=()).to_dict(quote_provenance), indent=2, sort_keys=True
+    )
+    if not report.certificates:
+        return text
+    slots = [f"\x00{i}" for i in range(6)]
+    sample = report.certificates[0].to_dict(quote_provenance)
+    sample.update(k0=slots[0], k1=slots[1], metric_labels=slots[2:4], p1sq_X=slots[4], verdict=slots[5])
+    template = json.dumps(sample, indent=2, sort_keys=True)
+    # certificates sit two levels deep in the report
+    template = "    " + template.replace("{", "{{").replace("}", "}}").replace("\n", "\n    ")
+    for i, slot in enumerate(slots):
+        # k0 and k1 are JSON numbers; the other slots are strings and keep their quotes
+        template = template.replace(json.dumps(slot), f"{{{i}}}" if i < 2 else f'"{{{i}}}"')
+    fill = template.format
+    body = ",\n".join([
+        fill(c.pair[0].pont, c.pair[1].pont, *c.metric_labels, str(c.glued.p1sq_X), c.verdict)
+        for c in report.certificates
+    ])
+    return text.replace('"certificates": []', f'"certificates": [\n{body}\n  ]', 1)
+
+
 def _cmd_components(args: argparse.Namespace) -> int:
     fmt = _resolve_format(args)
     b = make_bundle(args.n, args.l)
     report = infinite_components_report(b, args.pairs, include_scal=args.scal)
-    payload = report.to_dict(quote_provenance=args.quote_provenance)
     if fmt == "pretty":
+        payload = report.to_dict(quote_provenance=args.quote_provenance)
         if report.banner:
             print(report.banner)
             print(f"curvature: {' '.join(payload['curvature_classes'])}")
@@ -118,7 +157,7 @@ def _cmd_components(args: argparse.Namespace) -> int:
             print(f"  k0={cert['k0']} k1={cert['k1']}: {cert['verdict']} (p1sq_X = {cert['p1sq_X']})")
         print(payload["note"])
     else:
-        _emit_json(payload)
+        print(_components_json(report, args.quote_provenance))
     return 0 if report.certified else 3
 
 
@@ -246,12 +285,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    # Parameters are exact ints of any size, so CPython's int<->str digit limit
+    # (4300 by default, absent before 3.10.7) is lifted for parsing, computing
+    # and rendering, and restored on the way out.  The limit is per interpreter,
+    # so two threads must not run main at once.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
-    except (InvalidBundleError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        args = _build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except (InvalidBundleError, ValueError) as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

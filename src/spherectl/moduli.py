@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .bundle import BundleClass
 from .classify import gz_family
 from .exactnum import Rational
-from .space import p1_squared_W
 
 FORCED_ZERO = "ForcedZero"
 UNCONSTRAINED = "Unconstrained"
@@ -61,11 +60,26 @@ PROVENANCE_STEPS = (
 )
 
 # Finitely many certificates stand in for the infinitude claim; the note says how.
+# Members i < j of k = l + 112n*j have k_i^2 = k_j^2 exactly when k_i = -k_j, that
+# is when 56n | l, l < 0 and i + j = -l/(56n); which note is true depends on l.
 INFINITUDE_NOTE = (
     "The family k = l + 112n*j consists of pairwise distinct positive parameters, so "
     "k0^2 != k1^2 and every pair of members separates, not only the pairs sampled "
     "here; the enumerator is unbounded, so the certified components are infinite in "
     "number."
+)
+INFINITUDE_NOTE_NONPOSITIVE = (
+    "The family k = l + 112n*j has pairwise distinct squares, since k0^2 = k1^2 "
+    "would need k0 = -k1, that is l < 0 and 56n | l; so every pair of members "
+    "separates, not only the pairs sampled here; the enumerator is unbounded, so the "
+    "certified components are infinite in number."
+)
+INFINITUDE_NOTE_OPPOSITE = (
+    "In the family k = l + 112n*j, members i < j have k_i^2 = k_j^2 exactly when "
+    "i + j = -l/(56n), so finitely many pairs fail to separate; every other pair "
+    "separates, not only the pairs sampled here. The members with j > -l/(112n) have "
+    "pairwise distinct positive parameters and the enumerator is unbounded, so the "
+    "certified components are infinite in number."
 )
 
 # For n > 1 the p1^2 difference has no classical closed form on record; every
@@ -103,11 +117,28 @@ def deduce_p1sq_zero(ahat: Rational, sign: Rational) -> tuple[Rational, Rational
     return p1sq, p2
 
 
+# Both disk bundles have signature +1 in the fixed convention, so
+# sign(X) = sign(W_k0) - sign(W_k1) = 0 for every pair, and under the
+# same-component hypothesis the A-hat genus is forced to zero.  The p1^2 value
+# the two vanishing index forms force is therefore one constant.
+_SIGN_X = 1 - 1
+_FORCED_P1SQ = deduce_p1sq_zero(Rational(0), Rational(_SIGN_X))[0]
+
+
 def _curvature_classes(include_scal: bool) -> tuple[str, ...]:
     tags = (CURVATURE_SEC, CURVATURE_RIC)
     if include_scal:
         tags = tags + (CURVATURE_SCAL,)
     return tags
+
+
+def _infinitude_note(n: int, l: int) -> str:
+    """The infinitude claim that holds for the family k = l + 112n*j, n > 0."""
+    if l > 0:
+        return INFINITUDE_NOTE
+    if l < 0 and l % (56 * n) == 0:
+        return INFINITUDE_NOTE_OPPOSITE
+    return INFINITUDE_NOTE_NONPOSITIVE
 
 
 @dataclass(frozen=True)
@@ -174,26 +205,24 @@ def separation_certificate(
         raise ValueError("gluing requires equal Euler coefficients")
     if b0.euler <= 0:
         raise ValueError("separation requires euler > 0")
+    return _certificate(b0, b1, _curvature_classes(include_scal))
 
-    sign_x = 1 - 1
-    p1sq_x = p1_squared_W(b0) - p1_squared_W(b1)
-    glued = GluedManifoldInvariants(sign_X=sign_x, p1sq_X=p1sq_x, ahat_constraint=FORCED_ZERO)
 
-    forced_p1sq, _forced_p2 = deduce_p1sq_zero(Rational(0), Rational(sign_x))
-    contradicts = (
-        glued.sign_X == 0
-        and glued.ahat_constraint == FORCED_ZERO
-        and glued.p1sq_X != forced_p1sq
-    )
-
+def _certificate(
+    b0: BundleClass, b1: BundleClass, curvature_classes: tuple[str, ...]
+) -> SeparationCertificate:
+    """The certificate for a pair already known to share one Euler coefficient n > 0."""
+    n = b0.euler
+    # p1^2[W_k0] - p1^2[W_k1] = 4*k0^2/n - 4*k1^2/n, canonicalized once
+    p1sq_x = Rational(4 * (b0.pont * b0.pont - b1.pont * b1.pont), n)
     return SeparationCertificate(
         pair=(b0, b1),
         metric_labels=(f"GZ({b0.pont})", f"GZ({b1.pont})"),
-        glued=glued,
-        verdict=DISTINCT_COMPONENTS if contradicts else INCONCLUSIVE,
+        glued=GluedManifoldInvariants(sign_X=_SIGN_X, p1sq_X=p1sq_x, ahat_constraint=FORCED_ZERO),
+        verdict=DISTINCT_COMPONENTS if p1sq_x != _FORCED_P1SQ else INCONCLUSIVE,
         contradiction_value=p1sq_x,
-        curvature_classes=_curvature_classes(include_scal),
-        derivation_note=None if b0.euler == 1 else GENERAL_N_DERIVATION,
+        curvature_classes=curvature_classes,
+        derivation_note=None if n == 1 else GENERAL_N_DERIVATION,
     )
 
 
@@ -232,12 +261,17 @@ def infinite_components_report(
     Certificates are emitted for every pair in lexicographic (k0, k1) order.
     The verdict "certified" requires every pair to separate; with pairs = 0
     there is nothing to check and the verdict is withheld.
+
+    Cost model: pairs*(pairs+1)/2 certificates, each one Rational built on
+    native ints; the forced p1^2 value and the curvature tags are shared by
+    every certificate, not re-derived per pair.
     """
     if pairs < 0:
         raise ValueError("pairs must be nonnegative")
     family = gz_family(b, pairs + 1)
+    tags = _curvature_classes(include_scal)
     certificates = tuple(
-        separation_certificate(family[i], family[j], include_scal)
+        _certificate(family[i], family[j], tags)
         for i in range(len(family))
         for j in range(i + 1, len(family))
     )
@@ -252,6 +286,6 @@ def infinite_components_report(
         certificates=certificates,
         certified=certified,
         banner=BANNER if certified else None,
-        curvature_classes=_curvature_classes(include_scal),
-        note=INFINITUDE_NOTE,
+        curvature_classes=tags,
+        note=_infinitude_note(b.euler, b.pont),
     )

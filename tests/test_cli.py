@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spherectl import cli
+from spherectl.bundle import make_bundle
 from spherectl.cli import main
+from spherectl.moduli import infinite_components_report
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -260,3 +265,192 @@ class TestCensusWindow:
         payload = json.loads(out)
         assert payload["skipped"] == 1
         assert payload["classes"] == []
+
+
+POSITIVE_NOTE = (
+    "The family k = l + 112n*j consists of pairwise distinct positive parameters, so "
+    "k0^2 != k1^2 and every pair of members separates, not only the pairs sampled "
+    "here; the enumerator is unbounded, so the certified components are infinite in "
+    "number."
+)
+
+
+class TestComponentsNote:
+    def test_positive_l_keeps_the_positive_parameter_note(self, capsys):
+        code, out, _ = run(capsys, "components", "--n", "1", "--l", "3", "--pairs", "3")
+        assert code == 0
+        assert json.loads(out)["note"] == POSITIVE_NOTE
+
+    def test_negative_l_not_divisible_by_56n(self, capsys):
+        # -110 is not a multiple of 56*2, so no two members have opposite k
+        code, out, _ = run(capsys, "components", "--n", "2", "--l", "-110", "--pairs", "3")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["certified"] is True
+        assert payload["family"] == [-110, 114, 338, 562]
+        note = payload["note"]
+        assert "positive parameters" not in note
+        assert "every pair of members separates" in note
+        assert "unbounded" in note
+
+    def test_opposite_members_fail_and_note_says_so(self, capsys):
+        # k = -112 and k = 112 are members 0 and 1: i + j = 1 = -l/(56n)
+        code, out, _ = run(capsys, "components", "--n", "2", "--l", "-112", "--pairs", "2")
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["certified"] is False
+        assert payload["banner"] is None
+        assert [c["verdict"] for c in payload["certificates"]] == [
+            "Inconclusive", "DistinctComponents", "DistinctComponents",
+        ]
+        note = payload["note"]
+        assert "every pair of members separates" not in note
+        assert "i + j = -l/(56n)" in note
+        assert "finitely many pairs fail to separate" in note
+        assert "unbounded" in note
+
+    def test_zero_l_has_no_opposite_pair(self, capsys):
+        code, out, _ = run(capsys, "components", "--n", "2", "--l", "0", "--pairs", "2")
+        assert code == 0
+        assert "positive parameters" not in json.loads(out)["note"]
+
+
+@contextlib.contextmanager
+def int_str_digits(limit: int):
+    """Run the body with CPython's int<->str digit limit set to `limit`, if it has one."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestHugeParameters:
+    """Parameters past CPython's default 4300-digit int<->str limit parse and render."""
+
+    K = 10**4999 + 7  # 5,000 digits, odd
+    K_STR = "1" + "0" * 4998 + "7"
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        with int_str_digits(4300):
+            yield
+
+    @staticmethod
+    def loads(out: str) -> dict:
+        with int_str_digits(0):
+            return json.loads(out)
+
+    def test_invariants(self, capsys):
+        code, out, err = run(capsys, "invariants", "--n", "1", "--k", self.K_STR)
+        assert (code, err) == (0, "")
+        payload = self.loads(out)
+        assert payload["k"] == self.K
+        with int_str_digits(0):
+            assert payload["p1sq_W"] == f"{4 * self.K * self.K}/1"
+
+    def test_certify(self, capsys):
+        k1 = self.K + 112
+        k1_str = self.K_STR[:-3] + "119"
+        code, out, err = run(capsys, "certify", "--n", "1", "--k0", self.K_STR, "--k1", k1_str)
+        assert (code, err) == (0, "")
+        payload = self.loads(out)
+        assert payload["verdict"] == "DistinctComponents"
+        with int_str_digits(0):
+            assert payload["p1sq_X"] == f"{4 * (self.K * self.K - k1 * k1)}/1"
+
+    def test_components(self, capsys):
+        code, out, err = run(capsys, "components", "--n", "1", "--l", self.K_STR, "--pairs", "2")
+        assert (code, err) == (0, "")
+        payload = self.loads(out)
+        assert payload["family"] == [self.K, self.K + 112, self.K + 224]
+        assert [c["verdict"] for c in payload["certificates"]] == ["DistinctComponents"] * 3
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str digit limit")
+    def test_limit_restored_after_main(self, capsys):
+        run(capsys, "components", "--n", "1", "--l", self.K_STR, "--pairs", "1")
+        assert sys.get_int_max_str_digits() == 4300
+        run(capsys, "invariants", "--n", "1", "--k", "2")  # exit 2
+        assert sys.get_int_max_str_digits() == 4300
+        with pytest.raises(SystemExit):
+            main(["invariants", "--n", "1"])  # argparse error
+        assert sys.get_int_max_str_digits() == 4300
+
+
+def capture_main(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+@st.composite
+def components_inputs(draw):
+    n = draw(st.sampled_from((1, 2, 3, 5, 10)))
+    l = draw(st.one_of(
+        st.integers(min_value=-10**4, max_value=10**4),
+        st.integers(min_value=-40, max_value=40).map(lambda m: 56 * n * m),
+        st.integers(min_value=-10**1000, max_value=10**1000),
+    ))
+    l += (l - n) % 2  # k = n (mod 2); multiples of 56n stay put for even n
+    return n, l, draw(st.integers(min_value=0, max_value=8))
+
+
+class TestComponentsRenderer:
+    """The per-report template renderer against the to_dict + json.dumps reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(components_inputs(), st.booleans(), st.booleans())
+    @example((2, -112, 2), False, True)
+    @example((10, -1120, 8), True, False)
+    @example((1, 3, 0), True, True)
+    def test_json_matches_reference(self, inputs, quote, scal):
+        n, l, pairs = inputs
+        argv = ["components", "--n", str(n), "--l", str(l), "--pairs", str(pairs)]
+        argv += ["--quote-provenance"] if quote else []
+        argv += [] if scal else ["--no-scal"]
+        code, out = capture_main(argv)
+        report = infinite_components_report(make_bundle(n, l), pairs, include_scal=scal)
+        assert out == json.dumps(report.to_dict(quote), indent=2, sort_keys=True) + "\n"
+        assert code == (0 if report.certified else 3)
+
+    # pretty output as the parent of the template renderer printed it; the last
+    # line is the note, which for l <= 0 changed and is checked by TestComponentsNote
+    @pytest.mark.parametrize("argv, code, lines, note", [
+        (["--n", "1", "--l", "3", "--pairs", "2"], 0, [
+            "infinitely many path components certified",
+            "curvature: sec>=0 Ric>0 scal>0",
+            "family: 3 115 227",
+            "  k0=3 k1=115: DistinctComponents (p1sq_X = -52864/1)",
+            "  k0=3 k1=227: DistinctComponents (p1sq_X = -206080/1)",
+            "  k0=115 k1=227: DistinctComponents (p1sq_X = -153216/1)",
+        ], POSITIVE_NOTE),
+        (["--n", "3", "--l", "1", "--pairs", "1", "--no-scal", "--quote-provenance"], 0, [
+            "infinitely many path components certified",
+            "curvature: sec>=0 Ric>0",
+            "family: 1 337",
+            "  k0=1 k1=337: DistinctComponents (p1sq_X = -151424/1)",
+        ], POSITIVE_NOTE),
+        (["--n", "1", "--l", "3", "--pairs", "0"], 3, [
+            "verdict withheld",
+            "family: 3",
+        ], POSITIVE_NOTE),
+        (["--n", "2", "--l", "-112", "--pairs", "2"], 3, [
+            "certification failed",
+            "family: -112 112 336",
+            "  k0=-112 k1=112: Inconclusive (p1sq_X = 0/1)",
+            "  k0=-112 k1=336: DistinctComponents (p1sq_X = -200704/1)",
+            "  k0=112 k1=336: DistinctComponents (p1sq_X = -200704/1)",
+        ], None),
+    ])
+    def test_pretty_output_unchanged(self, capsys, argv, code, lines, note):
+        got_code, out, _ = run(capsys, "components", *argv, "--format", "pretty")
+        assert got_code == code
+        *body, last = out.splitlines()
+        assert body == lines
+        if note is not None:
+            assert last == note

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from spherectl import moduli
 from spherectl.bundle import make_bundle
 from spherectl.classify import gz_family
 from spherectl.exactnum import Rational
@@ -19,6 +20,7 @@ from spherectl.moduli import (
     infinite_components_report,
     separation_certificate,
 )
+from spherectl.space import p1_squared_W
 
 rationals = st.builds(
     Rational,
@@ -189,4 +191,66 @@ class TestInfiniteComponentsReport:
 
     def test_note_documents_unbounded_scheme(self):
         report = infinite_components_report(make_bundle(1, 3), pairs=1)
+        assert "unbounded" in report.note
+
+
+@st.composite
+def same_euler_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    big = st.integers(min_value=-10**600, max_value=10**600)
+    k0, k1 = (k + (k - n) % 2 for k in (draw(big), draw(big)))
+    return make_bundle(n, k0), make_bundle(n, k1)
+
+
+@st.composite
+def family_bases(draw):
+    """Bases (n, l) of families k = l + 112n*j, often with 56n | l."""
+    n = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 10)))
+    l = draw(st.one_of(
+        st.integers(min_value=-10**5, max_value=10**5),
+        st.integers(min_value=-20, max_value=20).map(lambda m: 56 * n * m),
+    ))
+    return make_bundle(n, l + (l - n) % 2)
+
+
+class TestCertificateCostModel:
+    """Certificates are built on native ints and never re-derive the forced zero."""
+
+    def test_no_index_form_inversion_per_certificate(self, monkeypatch):
+        calls = []
+        original = moduli.deduce_p1sq_zero
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(moduli, "deduce_p1sq_zero", counting)
+        report = infinite_components_report(make_bundle(2, 2), pairs=20)
+        separation_certificate(make_bundle(1, 1), make_bundle(1, 113))
+        assert len(report.certificates) == 210
+        assert calls == []
+
+    def test_report_certificates_share_the_curvature_tags(self):
+        report = infinite_components_report(make_bundle(1, 3), pairs=4, include_scal=False)
+        assert all(c.curvature_classes is report.curvature_classes for c in report.certificates)
+
+    @settings(max_examples=200, deadline=None)
+    @given(same_euler_pairs())
+    @example((make_bundle(2, 2), make_bundle(2, -2)))
+    def test_p1sq_X_is_the_difference_of_p1_squared_W(self, pair):
+        b0, b1 = pair
+        cert = separation_certificate(b0, b1)
+        assert cert.glued.p1sq_X == p1_squared_W(b0) - p1_squared_W(b1)
+        assert cert.contradiction_value == cert.glued.p1sq_X
+        assert cert.verdict == (DISTINCT_COMPONENTS if b0.pont**2 != b1.pont**2 else INCONCLUSIVE)
+
+    @settings(max_examples=200, deadline=None)
+    @given(family_bases(), st.integers(min_value=1, max_value=8))
+    @example(make_bundle(2, -112), 2)
+    @example(make_bundle(2, -112 * 20), 8)
+    def test_certified_closed_form(self, base, pairs):
+        n, l = base.euler, base.pont
+        report = infinite_components_report(base, pairs)
+        fails = l < 0 and l % (56 * n) == 0 and 1 <= -l // (56 * n) <= 2 * pairs - 1
+        assert report.certified is (not fails)
         assert "unbounded" in report.note
