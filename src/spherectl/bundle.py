@@ -9,39 +9,39 @@ which is the classical congruence p1 == 2e (mod 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .exactnum import _Value
 
 
 class InvalidBundleError(ValueError):
     """No oriented rank-4 bundle over S^4 realizes the given parameters."""
 
 
-@dataclass(frozen=True)
-class BundleClass:
+class BundleClass(_Value):
     """Isomorphism class with Euler class euler*u and p1 = 2*pont*u."""
 
-    euler: int
-    pont: int
+    __slots__ = ("euler", "pont")
 
-    def __post_init__(self) -> None:
-        if self.euler == 0:
+    def __init__(self, euler: int, pont: int) -> None:
+        if euler == 0:
             raise InvalidBundleError("Euler class must be non-trivial")
-        if (self.pont - self.euler) % 2 != 0:
+        if (pont - euler) % 2 != 0:
             raise InvalidBundleError("parity violation: k ≡ n (mod 2) required")
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "pont", pont)
 
     def to_dict(self) -> dict:
         return {"euler": self.euler, "k": self.pont}
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(_Value):
     """One of the two orientations of a total space, as a sign."""
 
-    sign: int = 1
+    __slots__ = ("sign",)
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int = 1) -> None:
+        if sign not in (1, -1):
             raise ValueError("orientation sign must be +1 or -1")
+        object.__setattr__(self, "sign", sign)
 
 
 POSITIVE = Orientation(1)

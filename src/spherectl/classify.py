@@ -11,10 +11,9 @@ never upgraded to "No".
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 
 from .bundle import BundleClass
-from .exactnum import QmodZ, Residue
+from .exactnum import QmodZ, Residue, _Value
 from .space import fold_orientation, mu_invariant
 
 YES = "Yes"
@@ -36,17 +35,17 @@ _ALLOWED_REASONS = {
 }
 
 
-@dataclass(frozen=True)
-class DiffeoVerdict:
+class DiffeoVerdict(_Value):
     """Tri-valued classification answer with a machine-checkable reason tag."""
 
-    answer: str
-    reason: str
+    __slots__ = ("answer", "reason")
 
-    def __post_init__(self) -> None:
-        allowed = _ALLOWED_REASONS.get(self.answer)
-        if allowed is None or self.reason not in allowed:
-            raise ValueError(f"inconsistent verdict {self.answer}/{self.reason}")
+    def __init__(self, answer: str, reason: str) -> None:
+        allowed = _ALLOWED_REASONS.get(answer)
+        if allowed is None or reason not in allowed:
+            raise ValueError(f"inconsistent verdict {answer}/{reason}")
+        object.__setattr__(self, "answer", answer)
+        object.__setattr__(self, "reason", reason)
 
     def to_dict(self) -> dict:
         return {"answer": self.answer, "reason": self.reason}
@@ -124,15 +123,15 @@ def gz_family(b: BundleClass, count: int) -> list[BundleClass]:
     return [BundleClass(b.euler, b.pont + j * step) for j in range(count)]
 
 
-@dataclass(frozen=True)
-class Theta7Element:
+class Theta7Element(_Value):
     """Element of the group of homotopy 7-spheres, cyclic of order 28."""
 
-    value: Residue
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if self.value.modulus != 28:
+    def __init__(self, value: Residue) -> None:
+        if value.modulus != 28:
             raise ValueError("homotopy 7-sphere classes live in Z/28Z")
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def of(cls, r: int) -> Theta7Element:
@@ -153,22 +152,23 @@ def theta7_neg(a: Theta7Element) -> Theta7Element:
     return Theta7Element(Residue(-a.value.value, 28))
 
 
-@dataclass(frozen=True)
-class CensusClass:
+class CensusClass(_Value):
     """One diffeomorphism class found in a census window.
 
     The members are stored as one arithmetic progression of step 112n per
     residue class of k, so a class costs the same whatever the window length.
+    members_count is derived from the ranges, not a constructor argument.
     """
 
-    representative: int
-    member_ranges: tuple[range, ...]
-    mu: QmodZ | None
-    members_count: int = field(init=False)
+    __slots__ = ("representative", "member_ranges", "mu", "members_count")
+    __match_args__ = ("representative", "member_ranges", "mu")
 
-    def __post_init__(self) -> None:
+    def __init__(self, representative: int, member_ranges: tuple[range, ...], mu: QmodZ | None) -> None:
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "member_ranges", member_ranges)
+        object.__setattr__(self, "mu", mu)
         # floor arithmetic, since len() of a range overflows past sys.maxsize
-        count = sum(max(0, -((r.start - r.stop) // r.step)) for r in self.member_ranges)
+        count = sum(max(0, -((r.start - r.stop) // r.step)) for r in member_ranges)
         object.__setattr__(self, "members_count", count)
 
     @property
@@ -184,21 +184,32 @@ class CensusClass:
         }
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(_Value):
     """Partition of a parameter window into certified diffeomorphism classes.
 
     Pairs that the decider leaves Unknown are counted but never merged, so a
     class only ever contains bundles certified mutually diffeomorphic.
     """
 
-    n: int
-    k_from: int
-    k_to: int
-    unoriented: bool
-    skipped: int
-    classes: tuple[CensusClass, ...]
-    unknown_pairs_count: int
+    __slots__ = ("n", "k_from", "k_to", "unoriented", "skipped", "classes", "unknown_pairs_count")
+
+    def __init__(
+        self,
+        n: int,
+        k_from: int,
+        k_to: int,
+        unoriented: bool,
+        skipped: int,
+        classes: tuple[CensusClass, ...],
+        unknown_pairs_count: int,
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k_from", k_from)
+        object.__setattr__(self, "k_to", k_to)
+        object.__setattr__(self, "unoriented", unoriented)
+        object.__setattr__(self, "skipped", skipped)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "unknown_pairs_count", unknown_pairs_count)
 
     def to_dict(self) -> dict:
         return {

@@ -20,7 +20,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .bundle import InvalidBundleError, NEGATIVE, POSITIVE, make_bundle
 from .classify import NO, YES, census, gz_family, oriented_diffeomorphic, unoriented_diffeomorphic
@@ -33,6 +32,17 @@ from .moduli import (
 from .space import dossier, realized_mu_set, realized_mu_set_unoriented
 
 FORMATS = ("json", "tsv", "pretty")
+
+# Upper bounds on the work one invocation may ask for: --pairs P builds
+# P(P+1)/2 certificates (125,250 at the limit, 45-65 MB of JSON), and
+# --count C lists C family members.
+MAX_PAIRS = 500
+MAX_FAMILY_COUNT = 100_000
+
+
+def _check_limit(option: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ValueError(f"{option} {value} exceeds the limit of {limit}")
 
 
 def _resolve_format(args: argparse.Namespace, tsv_ok: bool = False) -> str:
@@ -119,9 +129,11 @@ def _components_json(report: ComponentsReport, quote_provenance: bool) -> str:
     ints, "GZ(k)" labels, "num/den" strings and verdict names, none of which
     JSON escapes.
     """
-    text = json.dumps(
-        replace(report, certificates=()).to_dict(quote_provenance), indent=2, sort_keys=True
+    head = ComponentsReport(
+        report.base, report.pairs, report.family, (), report.certified, report.banner,
+        report.curvature_classes, report.note,
     )
+    text = json.dumps(head.to_dict(quote_provenance), indent=2, sort_keys=True)
     if not report.certificates:
         return text
     slots = [f"\x00{i}" for i in range(6)]
@@ -143,6 +155,7 @@ def _components_json(report: ComponentsReport, quote_provenance: bool) -> str:
 
 def _cmd_components(args: argparse.Namespace) -> int:
     fmt = _resolve_format(args)
+    _check_limit("--pairs", args.pairs, MAX_PAIRS)
     b = make_bundle(args.n, args.l)
     report = infinite_components_report(b, args.pairs, include_scal=args.scal)
     if fmt == "pretty":
@@ -194,6 +207,7 @@ def _cmd_realized_mu(args: argparse.Namespace) -> int:
 
 def _cmd_family(args: argparse.Namespace) -> int:
     fmt = _resolve_format(args, tsv_ok=True)
+    _check_limit("--count", args.count, MAX_FAMILY_COUNT)
     members = gz_family(make_bundle(args.n, args.l), args.count)
     if fmt == "tsv":
         lines = ["euler\tk"] + [f"{b.euler}\t{b.pont}" for b in members]
@@ -255,7 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("components", help="Pairwise certificates over an arithmetic family.")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--pairs", type=int, required=True,
+                   help=f"certify every pair among the first PAIRS+1 members (at most {MAX_PAIRS})")
     p.add_argument("--quote-provenance", action="store_true")
     p.add_argument("--scal", action=argparse.BooleanOptionalAction, default=True)
     _add_format_option(p)
@@ -277,7 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="Enumerate the arithmetic family k = l + 112n*j.")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=int, required=True,
+                   help=f"number of members to list (at most {MAX_FAMILY_COUNT})")
     _add_format_option(p)
     p.set_defaults(func=_cmd_family)
 

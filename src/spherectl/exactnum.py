@@ -8,25 +8,66 @@ values are immutable, so they can be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
 from math import gcd
+from operator import attrgetter
+
+
+class _Value:
+    """Base of the immutable value types, with semantics read off __slots__.
+
+    The slots are the fields.  Instances compare equal exactly when they are
+    of the same class with equal field tuples, hash as that tuple, and print
+    as Name(field=value, ...).  __match_args__ names the constructor's
+    arguments in order (all fields unless a subclass says otherwise), and
+    pickling calls the constructor again with them.  Attributes are set once,
+    in __init__, through object.__setattr__.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = fields = cls.__slots__
+        get = attrgetter(*fields)
+        cls._key = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+        if "__match_args__" not in cls.__dict__:
+            cls.__match_args__ = fields
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)
 
 
 @total_ordering
-@dataclass(frozen=True)
-class Rational:
+class Rational(_Value):
     """A rational number num/den in lowest terms with den > 0.
 
     Zero is stored as 0/1.  Any integer pair is accepted by the constructor
     and reduced (negative denominators are folded into the numerator).
     """
 
-    num: int
-    den: int = 1
+    __slots__ = ("num", "den")
 
-    def __post_init__(self) -> None:
-        num, den = self.num, self.den
+    def __init__(self, num: int, den: int = 1) -> None:
         if den == 0:
             raise ZeroDivisionError("rational with zero denominator")
         if den < 0:
@@ -57,6 +98,15 @@ class Rational:
     def __neg__(self) -> Rational:
         return Rational(-self.num, self.den)
 
+    # field-by-field, which is faster than the generic field-tuple comparison
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.num == other.num and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
     def __lt__(self, other: Rational) -> bool:
         # denominators are positive, so cross-multiplication preserves order
         return self.num * other.den < other.num * self.den
@@ -72,8 +122,7 @@ class Rational:
 
 
 @total_ordering
-@dataclass(frozen=True)
-class QmodZ:
+class QmodZ(_Value):
     """A class in Q/Z stored as its least nonnegative representative.
 
     Invariant: 0 <= num < den and gcd(num, den) = 1; the zero class is 0/1
@@ -81,11 +130,9 @@ class QmodZ:
     integer pair and canonicalizes, so QmodZ(q.num + t * q.den, q.den) == q.
     """
 
-    num: int
-    den: int = 1
+    __slots__ = ("num", "den")
 
-    def __post_init__(self) -> None:
-        num, den = self.num, self.den
+    def __init__(self, num: int, den: int = 1) -> None:
         if den == 0:
             raise ZeroDivisionError("Q/Z class with zero denominator")
         if den < 0:
@@ -103,6 +150,15 @@ class QmodZ:
     @classmethod
     def from_rational(cls, r: Rational) -> QmodZ:
         return cls(r.num, r.den)
+
+    # field-by-field, which is faster than the generic field-tuple comparison
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.num == other.num and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     def __lt__(self, other: QmodZ) -> bool:
         return self.num * other.den < other.num * self.den
@@ -124,17 +180,16 @@ def qmodz_neg(a: QmodZ) -> QmodZ:
     return QmodZ(-a.num, a.den)
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(_Value):
     """A residue class modulo a positive integer, normalized to [0, modulus)."""
 
-    value: int
-    modulus: int
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.modulus <= 0:
+    def __init__(self, value: int, modulus: int) -> None:
+        if modulus <= 0:
             raise ValueError("modulus must be positive")
-        object.__setattr__(self, "value", self.value % self.modulus)
+        object.__setattr__(self, "value", value % modulus)
+        object.__setattr__(self, "modulus", modulus)
 
     def __str__(self) -> str:
         return f"{self.value} mod {self.modulus}"

@@ -18,11 +18,9 @@ computed: metrics enter only as the opaque labels GZ(k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bundle import BundleClass
 from .classify import gz_family
-from .exactnum import Rational
+from .exactnum import Rational, _Value
 
 FORCED_ZERO = "ForcedZero"
 UNCONSTRAINED = "Unconstrained"
@@ -141,34 +139,48 @@ def _infinitude_note(n: int, l: int) -> str:
     return INFINITUDE_NOTE_NONPOSITIVE
 
 
-@dataclass(frozen=True)
-class GluedManifoldInvariants:
+class GluedManifoldInvariants(_Value):
     """Index data of the closed 8-manifold glued from two disk bundles."""
 
-    sign_X: int
-    p1sq_X: Rational
-    ahat_constraint: str
+    __slots__ = ("sign_X", "p1sq_X", "ahat_constraint")
 
-    def __post_init__(self) -> None:
-        if self.ahat_constraint not in (FORCED_ZERO, UNCONSTRAINED):
+    def __init__(self, sign_X: int, p1sq_X: Rational, ahat_constraint: str) -> None:
+        if ahat_constraint not in (FORCED_ZERO, UNCONSTRAINED):
             raise ValueError("ahat_constraint must be ForcedZero or Unconstrained")
+        object.__setattr__(self, "sign_X", sign_X)
+        object.__setattr__(self, "p1sq_X", p1sq_X)
+        object.__setattr__(self, "ahat_constraint", ahat_constraint)
 
 
-@dataclass(frozen=True)
-class SeparationCertificate:
+class SeparationCertificate(_Value):
     """Record of the gluing argument for one pair of bundles.
 
     verdict is DistinctComponents exactly when sign(X) = 0, the A-hat genus is
     forced to vanish, and the computed p1^2 number contradicts the forced zero.
     """
 
-    pair: tuple[BundleClass, BundleClass]
-    metric_labels: tuple[str, str]
-    glued: GluedManifoldInvariants
-    verdict: str
-    contradiction_value: Rational
-    curvature_classes: tuple[str, ...]
-    derivation_note: str | None = None
+    __slots__ = (
+        "pair", "metric_labels", "glued", "verdict", "contradiction_value", "curvature_classes",
+        "derivation_note",
+    )
+
+    def __init__(
+        self,
+        pair: tuple[BundleClass, BundleClass],
+        metric_labels: tuple[str, str],
+        glued: GluedManifoldInvariants,
+        verdict: str,
+        contradiction_value: Rational,
+        curvature_classes: tuple[str, ...],
+        derivation_note: str | None = None,
+    ) -> None:
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "metric_labels", metric_labels)
+        object.__setattr__(self, "glued", glued)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "contradiction_value", contradiction_value)
+        object.__setattr__(self, "curvature_classes", curvature_classes)
+        object.__setattr__(self, "derivation_note", derivation_note)
 
     def to_dict(self, quote_provenance: bool = False) -> dict:
         b0, b1 = self.pair
@@ -226,18 +238,30 @@ def _certificate(
     )
 
 
-@dataclass(frozen=True)
-class ComponentsReport:
+class ComponentsReport(_Value):
     """Pairwise certificates over an initial segment of an arithmetic family."""
 
-    base: BundleClass
-    pairs: int
-    family: tuple[BundleClass, ...]
-    certificates: tuple[SeparationCertificate, ...]
-    certified: bool | None
-    banner: str | None
-    curvature_classes: tuple[str, ...]
-    note: str
+    __slots__ = ("base", "pairs", "family", "certificates", "certified", "banner", "curvature_classes", "note")
+
+    def __init__(
+        self,
+        base: BundleClass,
+        pairs: int,
+        family: tuple[BundleClass, ...],
+        certificates: tuple[SeparationCertificate, ...],
+        certified: bool | None,
+        banner: str | None,
+        curvature_classes: tuple[str, ...],
+        note: str,
+    ) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "certificates", certificates)
+        object.__setattr__(self, "certified", certified)
+        object.__setattr__(self, "banner", banner)
+        object.__setattr__(self, "curvature_classes", curvature_classes)
+        object.__setattr__(self, "note", note)
 
     def to_dict(self, quote_provenance: bool = False) -> dict:
         return {

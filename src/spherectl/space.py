@@ -18,10 +18,8 @@ of -1 reverses that choice, which negates sign(W), p1^2[W] and mu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bundle import BundleClass, Orientation, POSITIVE
-from .exactnum import QmodZ, Rational, qmodz_neg
+from .exactnum import QmodZ, Rational, _Value, qmodz_neg
 
 # H^i(S^4; Z) = Z exactly in these degrees; 0 elsewhere.
 _BASE_DEGREES = frozenset((0, 4))
@@ -60,24 +58,24 @@ def _gysin_group(n: int, degree: int) -> str:
     return kernel if cokernel == "0" else cokernel
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(_Value):
     """Integral cohomology of a closed oriented 7-manifold, degrees 0..7.
 
     Entries are "Z", "Z/mZ" (m >= 2), or "0"; trivial torsion Z/1Z is
     displayed as "0".
     """
 
-    groups: tuple[str, ...]
+    __slots__ = ("groups",)
 
-    def __post_init__(self) -> None:
-        if len(self.groups) != 8:
+    def __init__(self, groups: tuple[str, ...]) -> None:
+        if len(groups) != 8:
             raise ValueError("cohomology table must list degrees 0..7")
-        if self.groups[0] != "Z" or self.groups[7] != "Z":
+        if groups[0] != "Z" or groups[7] != "Z":
             raise ValueError("H^0 and H^7 must be Z for a closed connected oriented 7-manifold")
         for i in (1, 2, 3, 5, 6):
-            if self.groups[i] != "0":
+            if groups[i] != "0":
                 raise ValueError(f"H^{i} must vanish for sphere bundles over S^4")
+        object.__setattr__(self, "groups", groups)
 
     def to_list(self) -> list[str]:
         return list(self.groups)
@@ -148,17 +146,28 @@ def realized_mu_set_unoriented() -> frozenset[QmodZ]:
     return frozenset(fold_orientation(q) for q in realized_mu_set())
 
 
-@dataclass(frozen=True)
-class SpaceDossier:
+class SpaceDossier(_Value):
     """Full invariant report for a sphere bundle M and its disk bundle W."""
 
-    bundle: BundleClass
-    orientation: Orientation
-    cohomology: CohomologyTable
-    is_homotopy_sphere: bool
-    sign_W: int
-    p1sq_W: Rational
-    mu: QmodZ | None
+    __slots__ = ("bundle", "orientation", "cohomology", "is_homotopy_sphere", "sign_W", "p1sq_W", "mu")
+
+    def __init__(
+        self,
+        bundle: BundleClass,
+        orientation: Orientation,
+        cohomology: CohomologyTable,
+        is_homotopy_sphere: bool,
+        sign_W: int,
+        p1sq_W: Rational,
+        mu: QmodZ | None,
+    ) -> None:
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "cohomology", cohomology)
+        object.__setattr__(self, "is_homotopy_sphere", is_homotopy_sphere)
+        object.__setattr__(self, "sign_W", sign_W)
+        object.__setattr__(self, "p1sq_W", p1sq_W)
+        object.__setattr__(self, "mu", mu)
 
     def to_dict(self) -> dict:
         return {

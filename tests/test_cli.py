@@ -454,3 +454,46 @@ class TestComponentsRenderer:
         assert body == lines
         if note is not None:
             assert last == note
+
+
+class TestWorkLimits:
+    """--pairs and --count are bounded by module constants; over the limit is exit 2."""
+
+    def test_limits_are_fixed(self):
+        assert cli.MAX_PAIRS == 500
+        assert cli.MAX_FAMILY_COUNT == 100_000
+
+    def test_limits_shown_in_help(self, capsys):
+        for command, limit in (("components", "500"), ("family", "100000")):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert f"at most {limit}" in " ".join(capsys.readouterr().out.split())
+
+    def test_at_limit_accepted(self, capsys):
+        code, out, _ = run(capsys, "family", "--n", "1", "--l", "3", "--count", "100000", "--format", "tsv")
+        assert code == 0
+        assert len(out.splitlines()) == 100_001
+
+    def test_components_over_limit(self, capsys):
+        code, out, err = run(capsys, "components", "--n", "1", "--l", "3", "--pairs", "501")
+        assert (code, out) == (2, "")
+        assert "--pairs 501 exceeds the limit of 500" in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(("components", "family")),
+        st.integers(min_value=1, max_value=10**30),
+        st.sampled_from(("json", "pretty", "tsv")),
+    )
+    def test_over_limit_exits_2_with_empty_stdout(self, command, excess, fmt):
+        if command == "components":
+            argv = ["components", "--n", "1", "--l", "3", "--pairs", str(cli.MAX_PAIRS + excess)]
+        else:
+            argv = ["family", "--n", "3", "--l", "1", "--count", str(cli.MAX_FAMILY_COUNT + excess)]
+        buf, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+            code = main(argv + ["--format", fmt])
+        assert (code, buf.getvalue()) == (2, "")
+        # components has no tsv output, which is rejected first
+        expected = "census and family" if (command, fmt) == ("components", "tsv") else "exceeds the limit of"
+        assert expected in err.getvalue()
