@@ -237,11 +237,13 @@ def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusRe
     pair is left Unknown.  For n > 1 classes are keyed by k mod 112n; pairs in
     different classes carry no verdict and are reported as unknown.
 
-    Cost model: O(112n), independent of the window length.  Both keys depend
-    only on k mod 112n (mu(k) = (k^2 - 1)/224 mod 1 has period 112), so each
-    residue r == n (mod 2) is visited once: its members in the window form
+    Cost model: O(min(window length, 112n)).  Both keys depend only on
+    k mod 112n (mu(k) = (k^2 - 1)/224 mod 1 has period 112), so each residue
+    r == n (mod 2) that occurs in the window is visited once, at its first
+    member: the valid k among the first 112n integers of the window, or all
+    of them in a shorter window.  The members of a residue form
     range(first, k_to + 1, 112n), counted by floor arithmetic, and for n = 1
-    mu_invariant is evaluated once per residue at its first member.
+    mu_invariant is evaluated once per residue, at most 56 times.
     """
     if n <= 0:
         raise ValueError("census requires n > 0")
@@ -249,15 +251,13 @@ def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusRe
         raise ValueError(f"census window [{k_from}, {k_to}] is empty: requires k_from <= k_to")
     step = 112 * n
     groups: dict[object, list[range]] = {}
-    for r in range(n % 2, step, 2):
-        first = k_from + (r - k_from) % step
-        if first > k_to:
-            continue
+    # the first member of each residue class lies in [k_from, k_from + step)
+    for first in range(k_from + (n - k_from) % 2, min(k_to + 1, k_from + step), 2):
         if n == 1:
             mu = mu_invariant(BundleClass(1, first))
             key: object = fold_orientation(mu) if unoriented else mu
         else:
-            key = r
+            key = first
         groups.setdefault(key, []).append(range(first, k_to + 1, step))
 
     classes = sorted(

@@ -8,6 +8,7 @@ diagnostics to stderr.  Exit codes partition outcomes:
     1  No
     2  invalid input
     3  Unknown / Inconclusive / verdict withheld
+  141  stdout closed by its reader before all output was written (128 + SIGPIPE)
 
 The env var SPHERECTL_FORMAT overrides the default output format; TSV is
 available for census and family reports only.
@@ -20,20 +21,22 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Iterable
 
 from .bundle import InvalidBundleError, NEGATIVE, POSITIVE, make_bundle
 from .classify import NO, YES, census, gz_family, oriented_diffeomorphic, unoriented_diffeomorphic
 from .moduli import (
     DISTINCT_COMPONENTS,
     ComponentsReport,
-    infinite_components_report,
+    _certificate,
+    _components_rows,
     separation_certificate,
 )
 from .space import dossier, realized_mu_set, realized_mu_set_unoriented
 
 FORMATS = ("json", "tsv", "pretty")
 
-# Upper bounds on the work one invocation may ask for: --pairs P builds
+# Upper bounds on the work one invocation may ask for: --pairs P prints
 # P(P+1)/2 certificates (125,250 at the limit, 45-65 MB of JSON), and
 # --count C lists C family members.
 MAX_PAIRS = 500
@@ -118,38 +121,40 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return 0 if cert.verdict == DISTINCT_COMPONENTS else 3
 
 
-def _components_json(report: ComponentsReport, quote_provenance: bool) -> str:
-    """json.dumps(report.to_dict(quote_provenance), indent=2, sort_keys=True), built
-    from one template per report instead of one dict per certificate.
+def _components_json(
+    report: ComponentsReport, rows: Iterable[tuple[int, int, int, str]], quote_provenance: bool
+) -> str:
+    """json.dumps(infinite_components_report(...).to_dict(quote_provenance),
+    indent=2, sort_keys=True) for the certificate-free report and the rows of
+    moduli._components_rows, built from one template per report instead of
+    one certificate object per pair.
 
     All certificates of a report share n, sign_X, ahat, the curvature classes,
-    the derivation note and the provenance.  So the first certificate is dumped
-    once, with slots for the fields that vary (k0, k1, the two metric labels,
-    p1sq_X, verdict), and each certificate fills the slots.  Those values are
-    ints, "GZ(k)" labels, "num/den" strings and verdict names, none of which
-    JSON escapes.
+    the derivation note and the provenance.  So one sample certificate is
+    dumped once, with slots for the fields that vary (k0, k1, the two metric
+    labels, p1sq_X, verdict), and each row fills the slots.  Those values are
+    ints, "GZ(k)" labels, "p/1" strings and verdict names, none of which JSON
+    escapes.
     """
-    head = ComponentsReport(
-        report.base, report.pairs, report.family, (), report.certified, report.banner,
-        report.curvature_classes, report.note,
-    )
-    text = json.dumps(head.to_dict(quote_provenance), indent=2, sort_keys=True)
-    if not report.certificates:
+    text = json.dumps(report.to_dict(quote_provenance), indent=2, sort_keys=True)
+    family = report.family
+    if len(family) < 2:
         return text
     slots = [f"\x00{i}" for i in range(6)]
-    sample = report.certificates[0].to_dict(quote_provenance)
+    sample = _certificate(family[0], family[1], report.curvature_classes).to_dict(quote_provenance)
     sample.update(k0=slots[0], k1=slots[1], metric_labels=slots[2:4], p1sq_X=slots[4], verdict=slots[5])
     template = json.dumps(sample, indent=2, sort_keys=True)
     # certificates sit two levels deep in the report
     template = "    " + template.replace("{", "{{").replace("}", "}}").replace("\n", "\n    ")
-    for i, slot in enumerate(slots):
-        # k0 and k1 are JSON numbers; the other slots are strings and keep their quotes
-        template = template.replace(json.dumps(slot), f"{{{i}}}" if i < 2 else f'"{{{i}}}"')
+    # k0 and k1 are JSON numbers, p1sq_X is the string "p/1" of the integer p,
+    # and the other slots are strings
+    fields = ("{0}", "{1}", '"{2}"', '"{3}"', '"{4}/1"', '"{5}"')
+    for slot, field in zip(slots, fields):
+        template = template.replace(json.dumps(slot), field)
     fill = template.format
-    body = ",\n".join([
-        fill(c.pair[0].pont, c.pair[1].pont, *c.metric_labels, str(c.glued.p1sq_X), c.verdict)
-        for c in report.certificates
-    ])
+    ks = [str(b.pont) for b in family]
+    labels = [f"GZ({k})" for k in ks]
+    body = ",\n".join([fill(ks[i], ks[j], labels[i], labels[j], p, verdict) for i, j, p, verdict in rows])
     return text.replace('"certificates": []', f'"certificates": [\n{body}\n  ]', 1)
 
 
@@ -157,20 +162,19 @@ def _cmd_components(args: argparse.Namespace) -> int:
     fmt = _resolve_format(args)
     _check_limit("--pairs", args.pairs, MAX_PAIRS)
     b = make_bundle(args.n, args.l)
-    report = infinite_components_report(b, args.pairs, include_scal=args.scal)
+    report, rows = _components_rows(b, args.pairs, include_scal=args.scal)
     if fmt == "pretty":
-        payload = report.to_dict(quote_provenance=args.quote_provenance)
         if report.banner:
-            print(report.banner)
-            print(f"curvature: {' '.join(payload['curvature_classes'])}")
+            lines = [report.banner, f"curvature: {' '.join(report.curvature_classes)}"]
         else:
-            print("verdict withheld" if report.certified is None else "certification failed")
-        print(f"family: {' '.join(str(k) for k in payload['family'])}")
-        for cert in payload["certificates"]:
-            print(f"  k0={cert['k0']} k1={cert['k1']}: {cert['verdict']} (p1sq_X = {cert['p1sq_X']})")
-        print(payload["note"])
+            lines = ["verdict withheld" if report.certified is None else "certification failed"]
+        ks = [str(m.pont) for m in report.family]
+        lines.append(f"family: {' '.join(ks)}")
+        lines += [f"  k0={ks[i]} k1={ks[j]}: {verdict} (p1sq_X = {p}/1)" for i, j, p, verdict in rows]
+        lines.append(report.note)
+        print("\n".join(lines))
     else:
-        print(_components_json(report, args.quote_provenance))
+        print(_components_json(report, rows, args.quote_provenance))
     return 0 if report.certified else 3
 
 
@@ -311,10 +315,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()
+            return code
         except (InvalidBundleError, ValueError) as exc:
             print(str(exc), file=sys.stderr)
             return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (`spherectl ... | head`); stdout is
+        # flushed above so that this surfaces here, not at interpreter exit.
+        # Point fd 1 at /dev/null so that the flush at exit stays quiet, and
+        # exit as a shell reports a SIGPIPE kill: 128 + 13.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)

@@ -18,6 +18,8 @@ computed: metrics enter only as the opaque labels GZ(k).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .bundle import BundleClass
 from .classify import gz_family
 from .exactnum import Rational, _Value
@@ -286,9 +288,11 @@ def infinite_components_report(
     The verdict "certified" requires every pair to separate; with pairs = 0
     there is nothing to check and the verdict is withheld.
 
-    Cost model: pairs*(pairs+1)/2 certificates, each one Rational built on
-    native ints; the forced p1^2 value and the curvature tags are shared by
-    every certificate, not re-derived per pair.
+    Cost model: pairs*(pairs+1)/2 certificate objects, each one Rational
+    built on native ints from the general formula 4*(k0^2 - k1^2)/n; the
+    forced p1^2 value and the curvature tags are shared by every certificate,
+    not re-derived per pair.  The CLI does not build them: it renders the
+    same certificates from _components_rows, in O(pairs) objects.
     """
     if pairs < 0:
         raise ValueError("pairs must be nonnegative")
@@ -313,3 +317,56 @@ def infinite_components_report(
         curvature_classes=tags,
         note=_infinitude_note(b.euler, b.pont),
     )
+
+
+def _components_rows(
+    b: BundleClass, pairs: int, include_scal: bool = True
+) -> tuple[ComponentsReport, Iterator[tuple[int, int, int, str]]]:
+    """infinite_components_report without its certificates, and their rows.
+
+    For the members k_i = l + 112n*i the gluing number has a closed form,
+
+        p1^2[X] = 4*(k_i^2 - k_j^2)/n = -448*(j - i)*(2l + 112n*(i + j)),
+
+    because k_i - k_j = -112n*(j - i) cancels the n: p1sq_X is always the
+    Rational p/1 for an int p.  It is zero exactly when i + j = -l/(56n), so
+    with pairs >= 1 some pair fails exactly when l < 0, 56n | l and
+    1 <= -l/(56n) <= 2*pairs - 1, and certified is decided in O(1).
+
+    The report is the library's with certificates = ().  The rows are
+    (i, j, p, verdict), one per certificate of the library's report and in
+    the same order, with p the numerator of its p1sq_X.  Cost: O(pairs)
+    objects, then one integer product per row.
+    """
+    if pairs < 0:
+        raise ValueError("pairs must be nonnegative")
+    n, l = b.euler, b.pont
+    family = gz_family(b, pairs + 1)
+    tags = _curvature_classes(include_scal)
+    if pairs == 0:
+        certified: bool | None = None
+    else:
+        certified = not (l < 0 and l % (56 * n) == 0 and 1 <= -l // (56 * n) <= 2 * pairs - 1)
+    report = ComponentsReport(
+        base=b,
+        pairs=pairs,
+        family=tuple(family),
+        certificates=(),
+        certified=certified,
+        banner=BANNER if certified else None,
+        curvature_classes=tags,
+        note=_infinitude_note(n, l),
+    )
+
+    def rows() -> Iterator[tuple[int, int, int, str]]:
+        # with t = j - i, p = -448t * (2l + 224n*i + 112n*t); the factors in t are precomputed
+        scale = [-448 * t for t in range(pairs + 1)]
+        shift = [112 * n * t for t in range(pairs + 1)]
+        for i in range(pairs + 1):
+            base = 2 * l + 224 * n * i
+            for t in range(1, pairs + 1 - i):
+                p = scale[t] * (base + shift[t])
+                # _FORCED_P1SQ, the value the vanishing index forms force, is 0
+                yield i, i + t, p, DISTINCT_COMPONENTS if p else INCONCLUSIVE
+
+    return report, rows()

@@ -283,6 +283,11 @@ class TestCensusClosedForm:
     @example(n=2, k_from=1, length=1, unoriented=True)
     @example(n=1, k_from=-60, length=111, unoriented=True)  # straddles 0
     @example(n=7, k_from=-784, length=1569, unoriented=False)
+    # windows shorter than 112n: only the window's own k are visited
+    @example(n=10**5, k_from=1, length=3, unoriented=False)
+    @example(n=10**5, k_from=112 * 10**5 - 30, length=61, unoriented=True)  # straddles a step
+    @example(n=10**12, k_from=-7, length=40, unoriented=False)
+    @example(n=10**12, k_from=-(112 * 10**12) - 5, length=11, unoriented=True)
     def test_matches_window_walking_reference(self, n, k_from, length, unoriented):
         k_to = k_from + length - 1
         report = census(n, k_from, k_to, unoriented=unoriented)

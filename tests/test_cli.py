@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spherectl import cli
+from spherectl import cli, moduli
 from spherectl.bundle import make_bundle
 from spherectl.cli import main
 from spherectl.moduli import infinite_components_report
@@ -400,6 +400,24 @@ def components_inputs(draw):
     return n, l, draw(st.integers(min_value=0, max_value=8))
 
 
+def components_pretty_reference(n: int, l: int, pairs: int, quote: bool, scal: bool) -> tuple[int, str]:
+    """The pretty printer of `components` as it was before it rendered closed-form
+    rows: one line per certificate of the library report."""
+    report = infinite_components_report(make_bundle(n, l), pairs, include_scal=scal)
+    payload = report.to_dict(quote_provenance=quote)
+    lines = []
+    if report.banner:
+        lines.append(report.banner)
+        lines.append(f"curvature: {' '.join(payload['curvature_classes'])}")
+    else:
+        lines.append("verdict withheld" if report.certified is None else "certification failed")
+    lines.append(f"family: {' '.join(str(k) for k in payload['family'])}")
+    for cert in payload["certificates"]:
+        lines.append(f"  k0={cert['k0']} k1={cert['k1']}: {cert['verdict']} (p1sq_X = {cert['p1sq_X']})")
+    lines.append(payload["note"])
+    return (0 if report.certified else 3), "".join(line + "\n" for line in lines)
+
+
 class TestComponentsRenderer:
     """The per-report template renderer against the to_dict + json.dumps reference."""
 
@@ -408,6 +426,12 @@ class TestComponentsRenderer:
     @example((2, -112, 2), False, True)
     @example((10, -1120, 8), True, False)
     @example((1, 3, 0), True, True)
+    @example((1, 3, 60), True, True)
+    @example((3, -10**60 + 1, 40), False, False)
+    @example((2, -112 * 5, 40), False, True)  # l = -56n*5: pairs with i + j = 5 fail
+    @example((4, -224 * 79, 40), True, True)  # i + j = 79 = 2*pairs - 1, the last pair
+    @example((6, -336 * 80, 40), False, True)  # i + j = 80 is out of reach: certified
+    @example((10, -560 * 50, 55), True, False)
     def test_json_matches_reference(self, inputs, quote, scal):
         n, l, pairs = inputs
         argv = ["components", "--n", str(n), "--l", str(l), "--pairs", str(pairs)]
@@ -454,6 +478,55 @@ class TestComponentsRenderer:
         assert body == lines
         if note is not None:
             assert last == note
+
+    @settings(max_examples=100, deadline=None)
+    @given(components_inputs(), st.booleans(), st.booleans())
+    @example((2, -112, 2), False, True)
+    @example((2, -336, 9), True, True)
+    @example((4, -448, 5), False, False)
+    @example((1, 3, 50), False, True)
+    @example((2, -112 * 30, 45), True, False)
+    def test_pretty_matches_reference(self, inputs, quote, scal):
+        n, l, pairs = inputs
+        argv = ["components", "--n", str(n), "--l", str(l), "--pairs", str(pairs), "--format", "pretty"]
+        argv += ["--quote-provenance"] if quote else []
+        argv += [] if scal else ["--no-scal"]
+        assert capture_main(argv) == components_pretty_reference(n, l, pairs, quote, scal)
+
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_cli_builds_at_most_one_certificate(self, monkeypatch, fmt):
+        built = []
+        init = moduli.SeparationCertificate.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(moduli.SeparationCertificate, "__init__", counting_init)
+        code, out = capture_main(["components", "--n", "1", "--l", "3", "--pairs", "30", "--format", fmt])
+        assert code == 0
+        assert out.count("DistinctComponents") == 30 * 31 // 2
+        assert len(built) <= 1
+        # the library report still builds every certificate
+        built.clear()
+        infinite_components_report(make_bundle(1, 3), 30)
+        assert len(built) == 30 * 31 // 2
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_exits_141_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spherectl.cli", "components", "--n", "1", "--l", "3", "--pairs", "200"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        assert b"Traceback" not in err
+        assert code == 141  # 128 + SIGPIPE
 
 
 class TestWorkLimits:

@@ -254,3 +254,20 @@ class TestCertificateCostModel:
         fails = l < 0 and l % (56 * n) == 0 and 1 <= -l // (56 * n) <= 2 * pairs - 1
         assert report.certified is (not fails)
         assert "unbounded" in report.note
+
+
+class TestClosedFormRows:
+    """_components_rows, which the CLI renders, against the library report."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(family_bases(), st.integers(min_value=0, max_value=12), st.booleans())
+    @example(make_bundle(2, -112), 2, True)
+    @example(make_bundle(4, -224 * 15), 8, False)  # i + j = 15 = 2*pairs - 1
+    @example(make_bundle(1, -(10**80) + 1), 5, True)
+    def test_rows_match_library_certificates(self, base, pairs, scal):
+        report, rows = moduli._components_rows(base, pairs, include_scal=scal)
+        ref = infinite_components_report(base, pairs, include_scal=scal)
+        assert report.certificates == ()
+        assert report.to_dict() == {**ref.to_dict(), "certificates": []}
+        got = [(report.family[i], report.family[j], Rational(p), verdict) for i, j, p, verdict in rows]
+        assert got == [(*c.pair, c.glued.p1sq_X, c.verdict) for c in ref.certificates]
