@@ -1,0 +1,61 @@
+"""Byte-identity of the CLI against a golden corpus.
+
+tests/golden/cli_corpus.jsonl holds one JSON object per invocation of
+`spherectl.cli.main`: its argv, the SPHERECTL_FORMAT value it ran under
+(`env`, when set), its exit code, and the sha256 and byte length of its
+stdout and stderr.  The corpus was generated once, before the closed-form
+refactor of `moduli` and `space`, from:
+
+  * every `spherectl` example in the README and in the CI workflow;
+  * every argv the test suite passed to `cli.main` in one run;
+  * the first 200 operations of the seed-11 `census_sweep`,
+    `components_family` and `cli_cold` benchmark decks, stored as literal
+    argv so that nothing here imports the benchmark.
+
+The file is a fixed reference: a change that alters any output fails this
+test, and the corpus is not to be regenerated to make it pass.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+
+from spherectl import cli
+
+CORPUS = pathlib.Path(__file__).parent / "golden" / "cli_corpus.jsonl"
+
+
+def replay(entry: dict) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(entry["argv"]))
+        except SystemExit as exc:  # argparse: --help and usage errors
+            code = exc.code
+    got = {"exit": code}
+    for name, text in (("stdout", out.getvalue()), ("stderr", err.getvalue())):
+        data = text.encode()
+        got[f"{name}_sha256"] = hashlib.sha256(data).hexdigest()
+        got[f"{name}_len"] = len(data)
+    return got
+
+
+def test_corpus_replays_byte_for_byte(monkeypatch):
+    # argparse wraps help and usage text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    entries = [json.loads(line) for line in CORPUS.read_text().splitlines()]
+    assert len(entries) > 900
+    mismatches = []
+    for entry in entries:
+        monkeypatch.delenv("SPHERECTL_FORMAT", raising=False)
+        for name, value in entry.get("env", {}).items():
+            monkeypatch.setenv(name, value)
+        got = replay(entry)
+        want = {key: entry[key] for key in got}
+        if got != want:
+            mismatches.append((entry["source"], entry["argv"][:8], want["exit"], got["exit"]))
+    assert mismatches == []
