@@ -37,10 +37,11 @@ from .space import dossier, realized_mu_set, realized_mu_set_unoriented
 FORMATS = ("json", "tsv", "pretty")
 
 # Upper bounds on the work one invocation may ask for: --pairs P prints
-# P(P+1)/2 certificates (125,250 at the limit, 45-65 MB of JSON), and
-# --count C lists C family members.
+# P(P+1)/2 certificates (125,250 at the limit, 45-65 MB of JSON), --count C
+# lists C family members, and a census its classes (8 MiB of JSON at the limit).
 MAX_PAIRS = 500
 MAX_FAMILY_COUNT = 100_000
+MAX_CENSUS_CLASSES = 100_000
 
 
 def _check_limit(option: str, value: int, limit: int) -> None:
@@ -180,6 +181,12 @@ def _cmd_components(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     fmt = _resolve_format(args, tsv_ok=True)
+    # a class per valid k among the first min(window, 112n) integers for n > 1, counted by floor
+    # arithmetic (len() of a range overflows); <= 0 for the n and windows that census rejects
+    end = min(args.k_to + 1, args.k_from + 112 * args.n)
+    classes = (end - 1 - args.n) // 2 - (args.k_from - 1 - args.n) // 2
+    if classes > MAX_CENSUS_CLASSES:
+        raise ValueError(f"census of {classes} classes exceeds the limit of {MAX_CENSUS_CLASSES}")
     report = census(args.n, args.k_from, args.k_to, unoriented=args.unoriented)
     if fmt == "tsv":
         print(report.to_tsv())
@@ -283,7 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="Partition a parameter window into diffeomorphism classes.")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--from", dest="k_from", type=int, required=True)
-    p.add_argument("--to", dest="k_to", type=int, required=True)
+    p.add_argument("--to", dest="k_to", type=int, required=True,
+                   help=f"last k of the window; a census lists at most {MAX_CENSUS_CLASSES} classes")
     p.add_argument("--unoriented", action="store_true")
     _add_format_option(p)
     p.set_defaults(func=_cmd_census)

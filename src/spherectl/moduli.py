@@ -117,28 +117,8 @@ def deduce_p1sq_zero(ahat: Rational, sign: Rational) -> tuple[Rational, Rational
     return p1sq, p2
 
 
-# Both disk bundles have signature +1 in the fixed convention, so
-# sign(X) = sign(W_k0) - sign(W_k1) = 0 for every pair, and under the
-# same-component hypothesis the A-hat genus is forced to zero.  The p1^2 value
-# the two vanishing index forms force is therefore one constant.
-_SIGN_X = 1 - 1
-_FORCED_P1SQ = deduce_p1sq_zero(Rational(0), Rational(_SIGN_X))[0]
-
-
-def _curvature_classes(include_scal: bool) -> tuple[str, ...]:
-    tags = (CURVATURE_SEC, CURVATURE_RIC)
-    if include_scal:
-        tags = tags + (CURVATURE_SCAL,)
-    return tags
-
-
-def _infinitude_note(n: int, l: int) -> str:
-    """The infinitude claim that holds for the family k = l + 112n*j, n > 0."""
-    if l > 0:
-        return INFINITUDE_NOTE
-    if l < 0 and l % (56 * n) == 0:
-        return INFINITUDE_NOTE_OPPOSITE
-    return INFINITUDE_NOTE_NONPOSITIVE
+# The curvature tags of a certificate, indexed by include_scal and shared, never rebuilt.
+_CURVATURE_CLASSES = ((CURVATURE_SEC, CURVATURE_RIC), (CURVATURE_SEC, CURVATURE_RIC, CURVATURE_SCAL))
 
 
 class GluedManifoldInvariants(_Value):
@@ -219,7 +199,7 @@ def separation_certificate(
         raise ValueError("gluing requires equal Euler coefficients")
     if b0.euler <= 0:
         raise ValueError("separation requires euler > 0")
-    return _certificate(b0, b1, _curvature_classes(include_scal))
+    return _certificate(b0, b1, _CURVATURE_CLASSES[bool(include_scal)])
 
 
 def _certificate(
@@ -232,8 +212,10 @@ def _certificate(
     return SeparationCertificate(
         pair=(b0, b1),
         metric_labels=(f"GZ({b0.pont})", f"GZ({b1.pont})"),
-        glued=GluedManifoldInvariants(sign_X=_SIGN_X, p1sq_X=p1sq_x, ahat_constraint=FORCED_ZERO),
-        verdict=DISTINCT_COMPONENTS if p1sq_x != _FORCED_P1SQ else INCONCLUSIVE,
+        # sign(X) = sign(W_k0) - sign(W_k1) = 1 - 1: both disk bundles have signature +1
+        glued=GluedManifoldInvariants(sign_X=0, p1sq_X=p1sq_x, ahat_constraint=FORCED_ZERO),
+        # A-hat(X) = sign(X) = 0 force p1^2[X] = 0 (deduce_p1sq_zero): a nonzero value separates
+        verdict=DISTINCT_COMPONENTS if p1sq_x.num else INCONCLUSIVE,
         contradiction_value=p1sq_x,
         curvature_classes=curvature_classes,
         derivation_note=None if n == 1 else GENERAL_N_DERIVATION,
@@ -288,41 +270,19 @@ def infinite_components_report(
     The verdict "certified" requires every pair to separate; with pairs = 0
     there is nothing to check and the verdict is withheld.
 
-    Cost model: pairs*(pairs+1)/2 certificate objects, each one Rational
-    built on native ints from the general formula 4*(k0^2 - k1^2)/n; the
-    forced p1^2 value and the curvature tags are shared by every certificate,
-    not re-derived per pair.  The CLI does not build them: it renders the
-    same certificates from _components_rows, in O(pairs) objects.
+    Cost model: the report and its verdict come from _components_rows in
+    O(pairs), "certified" by its O(1) closed form.  The certificates are
+    pairs*(pairs+1)/2 objects, each one Rational built on native ints from
+    the general formula 4*(k0^2 - k1^2)/n and sharing the curvature tags.
+    The CLI does not build them: it renders the closed-form rows instead.
     """
-    if pairs < 0:
-        raise ValueError("pairs must be nonnegative")
-    family = gz_family(b, pairs + 1)
-    tags = _curvature_classes(include_scal)
-    certificates = tuple(
-        _certificate(family[i], family[j], tags)
-        for i in range(len(family))
-        for j in range(i + 1, len(family))
-    )
-    if pairs == 0:
-        certified: bool | None = None
-    else:
-        certified = all(c.verdict == DISTINCT_COMPONENTS for c in certificates)
-    return ComponentsReport(
-        base=b,
-        pairs=pairs,
-        family=tuple(family),
-        certificates=certificates,
-        certified=certified,
-        banner=BANNER if certified else None,
-        curvature_classes=tags,
-        note=_infinitude_note(b.euler, b.pont),
-    )
+    return _components_rows(b, pairs, include_scal, with_certificates=True)[0]
 
 
 def _components_rows(
-    b: BundleClass, pairs: int, include_scal: bool = True
+    b: BundleClass, pairs: int, include_scal: bool = True, with_certificates: bool = False
 ) -> tuple[ComponentsReport, Iterator[tuple[int, int, int, str]]]:
-    """infinite_components_report without its certificates, and their rows.
+    """The components report of the family of b, and its certificates as closed-form rows.
 
     For the members k_i = l + 112n*i the gluing number has a closed form,
 
@@ -333,29 +293,40 @@ def _components_rows(
     with pairs >= 1 some pair fails exactly when l < 0, 56n | l and
     1 <= -l/(56n) <= 2*pairs - 1, and certified is decided in O(1).
 
-    The report is the library's with certificates = ().  The rows are
-    (i, j, p, verdict), one per certificate of the library's report and in
-    the same order, with p the numerator of its p1sq_X.  Cost: O(pairs)
-    objects, then one integer product per row.
+    The report's certificates are () unless with_certificates asks for the
+    certificate objects, built pair by pair from the general formula.  The
+    rows are (i, j, p, verdict), one per pair (i < j) in lexicographic order,
+    with p the numerator of p1sq_X.  Cost: O(pairs) objects, then one integer
+    product per row.
     """
     if pairs < 0:
         raise ValueError("pairs must be nonnegative")
     n, l = b.euler, b.pont
-    family = gz_family(b, pairs + 1)
-    tags = _curvature_classes(include_scal)
+    family = tuple(gz_family(b, pairs + 1))
+    tags = _CURVATURE_CLASSES[bool(include_scal)]
+    # some members have opposite parameters, k_i = -k_j with i + j = -l/(56n) >= 1
+    opposite = l < 0 and l % (56 * n) == 0
     if pairs == 0:
         certified: bool | None = None
     else:
-        certified = not (l < 0 and l % (56 * n) == 0 and 1 <= -l // (56 * n) <= 2 * pairs - 1)
+        certified = not (opposite and -l // (56 * n) <= 2 * pairs - 1)
+    certificates = ()
+    if with_certificates:
+        certificates = tuple(
+            _certificate(family[i], family[j], tags)
+            for i in range(pairs + 1)
+            for j in range(i + 1, pairs + 1)
+        )
     report = ComponentsReport(
         base=b,
         pairs=pairs,
-        family=tuple(family),
-        certificates=(),
+        family=family,
+        certificates=certificates,
         certified=certified,
         banner=BANNER if certified else None,
         curvature_classes=tags,
-        note=_infinitude_note(n, l),
+        note=(INFINITUDE_NOTE if l > 0
+              else INFINITUDE_NOTE_OPPOSITE if opposite else INFINITUDE_NOTE_NONPOSITIVE),
     )
 
     def rows() -> Iterator[tuple[int, int, int, str]]:
@@ -366,7 +337,7 @@ def _components_rows(
             base = 2 * l + 224 * n * i
             for t in range(1, pairs + 1 - i):
                 p = scale[t] * (base + shift[t])
-                # _FORCED_P1SQ, the value the vanishing index forms force, is 0
+                # the vanishing index forms force p1^2[X] = 0, so p != 0 separates
                 yield i, i + t, p, DISTINCT_COMPONENTS if p else INCONCLUSIVE
 
     return report, rows()

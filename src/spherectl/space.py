@@ -21,42 +21,6 @@ from __future__ import annotations
 from .bundle import BundleClass, Orientation, POSITIVE
 from .exactnum import QmodZ, Rational, _Value, qmodz_neg
 
-# H^i(S^4; Z) = Z exactly in these degrees; 0 elsewhere.
-_BASE_DEGREES = frozenset((0, 4))
-
-
-def _gysin_group(n: int, degree: int) -> str:
-    """H^degree of the sphere bundle, from the Gysin sequence of S^3 -> M -> S^4.
-
-    The relevant segment is
-
-        H^{i-4}(S^4) --e--> H^i(S^4) --> H^i(M) --> H^{i-3}(S^4) --e--> H^{i+1}(S^4)
-
-    so H^i(M) is an extension of ker(e) by coker(e), where cup product with
-    the Euler class acts as multiplication by n whenever source and target are
-    both nonzero.  ker(e) is a subgroup of Z, hence free, so the extension
-    splits; over S^4 the two pieces are never nonzero in the same degree.
-    """
-    if degree in _BASE_DEGREES:
-        if degree - 4 in _BASE_DEGREES:
-            # coker(Z --*n--> Z) = Z/|n|Z
-            m = abs(n)
-            cokernel = "0" if m == 1 else f"Z/{m}Z"
-        else:
-            cokernel = "Z"
-    else:
-        cokernel = "0"
-
-    if degree - 3 in _BASE_DEGREES:
-        # ker(Z --*n--> Z) = 0 since n != 0; ker(Z --> 0) = Z
-        kernel = "0" if degree + 1 in _BASE_DEGREES else "Z"
-    else:
-        kernel = "0"
-
-    if cokernel != "0" and kernel != "0":
-        raise AssertionError("base S^4 never contributes two pieces in one degree")
-    return kernel if cokernel == "0" else cokernel
-
 
 class CohomologyTable(_Value):
     """Integral cohomology of a closed oriented 7-manifold, degrees 0..7.
@@ -84,9 +48,19 @@ class CohomologyTable(_Value):
 def cohomology(b: BundleClass) -> CohomologyTable:
     """Integral cohomology of S(E): Z in degrees 0 and 7, Z/|n|Z in degree 4.
 
-    Depends only on |euler|, never on the Pontryagin parameter.
+    From the Gysin sequence of S^3 -> M -> S^4,
+
+        H^{i-4}(S^4) --e--> H^i(S^4) --> H^i(M) --> H^{i-3}(S^4) --e--> H^{i+1}(S^4),
+
+    H^i(M) is an extension of ker(e) by coker(e), where cup product with the
+    Euler class acts as multiplication by n.  Over S^4 the two pieces are
+    never nonzero in one degree: coker is Z in degree 0 and
+    coker(Z --*n--> Z) = Z/|n|Z in degree 4; ker is ker(Z --> 0) = Z in
+    degree 7, while ker(Z --*n--> Z) = 0 in degree 3 since n != 0.  Depends
+    only on |euler|, never on the Pontryagin parameter.
     """
-    return CohomologyTable(tuple(_gysin_group(b.euler, i) for i in range(8)))
+    m = abs(b.euler)
+    return CohomologyTable(("Z", "0", "0", "0", "0" if m == 1 else f"Z/{m}Z", "0", "0", "Z"))
 
 
 def is_homotopy_sphere(b: BundleClass) -> bool:

@@ -5,12 +5,14 @@ import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spherectl import cli, moduli
 from spherectl.bundle import make_bundle
+from spherectl.classify import census
 from spherectl.cli import main
 from spherectl.moduli import infinite_components_report
 
@@ -530,7 +532,8 @@ class TestClosedPipe:
 
 
 class TestWorkLimits:
-    """--pairs and --count are bounded by module constants; over the limit is exit 2."""
+    """--pairs, --count and the classes of a census are bounded by module constants;
+    over the limit is exit 2, checked before any work."""
 
     def test_limits_are_fixed(self):
         assert cli.MAX_PAIRS == 500
@@ -570,3 +573,64 @@ class TestWorkLimits:
         # components has no tsv output, which is rejected first
         expected = "census and family" if (command, fmt) == ("components", "tsv") else "exceeds the limit of"
         assert expected in err.getvalue()
+
+    def test_census_limit_is_fixed_and_shown_in_help(self, capsys):
+        assert cli.MAX_CENSUS_CLASSES == 100_000
+        with pytest.raises(SystemExit):
+            main(["census", "--help"])
+        assert "at most 100000" in " ".join(capsys.readouterr().out.split())
+
+    def test_census_at_and_over_limit(self, capsys):
+        # n = 1786 is even and 112n = 200,032 exceeds the window: one class per even k
+        code, out, _ = run(capsys, "census", "--n", "1786", "--from", "1", "--to", "200000", "--format", "tsv")
+        assert code == 0
+        assert len(out.splitlines()) == 100_001
+        code, out, err = run(capsys, "census", "--n", "1786", "--from", "0", "--to", "200000")
+        assert (code, out) == (2, "")
+        assert "census of 100001 classes exceeds the limit of 100000" in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=2 * cli.MAX_CENSUS_CLASSES // 112 + 2, max_value=10**30),
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.integers(min_value=2 * cli.MAX_CENSUS_CLASSES + 2, max_value=10**40),
+        st.booleans(),
+        st.sampled_from(("json", "pretty", "tsv")),
+    )
+    @example(10**6, 1, 224 * 10**6, False, "json")
+    @example(5000, 1, 1_120_000, True, "tsv")
+    def test_census_over_limit_exits_2_with_empty_stdout(self, n, k_from, length, unoriented, fmt):
+        argv = ["census", "--n", str(n), "--from", str(k_from), "--to", str(k_from + length - 1)]
+        argv += ["--format", fmt] + (["--unoriented"] if unoriented else [])
+        buf, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, buf.getvalue()) == (2, "")
+        assert f"exceeds the limit of {cli.MAX_CENSUS_CLASSES}" in err.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=-3000, max_value=3000),
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=0, max_value=700),
+    )
+    def test_census_count_is_the_number_of_classes(self, n, k_from, length, limit):
+        # for n > 1 the O(1) count is exactly the class count of the library census
+        k_to = k_from + length - 1
+        argv = ["census", "--n", str(n), "--from", str(k_from), "--to", str(k_to)]
+        with mock.patch.object(cli, "MAX_CENSUS_CLASSES", limit):
+            code, out = capture_main(argv)
+        classes = len(census(n, k_from, k_to).classes)
+        assert code == (2 if classes > limit else 0)
+        assert (out == "") is (classes > limit)
+
+    @pytest.mark.parametrize("n, k_from, k_to, message", [
+        (0, 1, 10**6, "census requires n > 0"),
+        (-5, 1, 10**9, "census requires n > 0"),
+        (10**6, 10**9, 1, "k_from <= k_to"),
+    ])
+    def test_census_invalid_inputs_keep_their_own_message(self, capsys, n, k_from, k_to, message):
+        code, out, err = run(capsys, "census", "--n", str(n), "--from", str(k_from), "--to", str(k_to))
+        assert (code, out) == (2, "")
+        assert message in err

@@ -256,6 +256,24 @@ class TestCertificateCostModel:
         assert "unbounded" in report.note
 
 
+class TestCertifiedOracle:
+    """certified and banner, derived in closed form, against the certificates themselves."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(family_bases(), st.integers(min_value=0, max_value=12), st.booleans())
+    @example(make_bundle(2, -112), 2, True)
+    @example(make_bundle(2, -112 * 23), 12, False)  # i + j = 23 = 2*pairs - 1, the last pair
+    @example(make_bundle(2, -112 * 24), 12, True)  # i + j = 24 is out of reach
+    def test_certified_is_every_certificate_separating(self, base, pairs, scal):
+        report = infinite_components_report(base, pairs, include_scal=scal)
+        if pairs == 0:
+            assert report.certified is None
+        else:
+            assert report.certified is all(c.verdict == DISTINCT_COMPONENTS for c in report.certificates)
+        assert (report.banner is not None) is bool(report.certified)
+        assert report.banner in (None, BANNER)
+
+
 class TestClosedFormRows:
     """_components_rows, which the CLI renders, against the library report."""
 

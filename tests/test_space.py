@@ -32,7 +32,46 @@ def mu_index_formula(b: BundleClass, o=POSITIVE) -> QmodZ:
     return mu if o.sign == 1 else qmodz_neg(mu)
 
 
+# H^i(S^4; Z) = Z exactly in these degrees; 0 elsewhere.
+BASE_DEGREES = frozenset((0, 4))
+
+
+def gysin_group(n: int, degree: int) -> str:
+    """Reference: H^degree of the sphere bundle, walked case by case through the
+    Gysin sequence of S^3 -> M -> S^4,
+
+        H^{i-4}(S^4) --e--> H^i(S^4) --> H^i(M) --> H^{i-3}(S^4) --e--> H^{i+1}(S^4),
+
+    where cup product with the Euler class is multiplication by n whenever
+    source and target are both nonzero.  H^i(M) is an extension of ker(e) by
+    coker(e); ker(e) is free, so the extension splits.
+    """
+    if degree in BASE_DEGREES:
+        if degree - 4 in BASE_DEGREES:
+            # coker(Z --*n--> Z) = Z/|n|Z
+            m = abs(n)
+            cokernel = "0" if m == 1 else f"Z/{m}Z"
+        else:
+            cokernel = "Z"
+    else:
+        cokernel = "0"
+
+    if degree - 3 in BASE_DEGREES:
+        # ker(Z --*n--> Z) = 0 since n != 0; ker(Z --> 0) = Z
+        kernel = "0" if degree + 1 in BASE_DEGREES else "Z"
+    else:
+        kernel = "0"
+
+    assert cokernel == "0" or kernel == "0", "base S^4 never contributes two pieces in one degree"
+    return kernel if cokernel == "0" else cokernel
+
+
 class TestCohomology:
+    def test_matches_gysin_case_walk(self):
+        for n in [*range(1, 61), *range(-60, 0)]:
+            for k in (n, n + 2, -n + 224):
+                assert cohomology(make_bundle(n, k)).to_list() == [gysin_group(n, i) for i in range(8)]
+
     def test_homotopy_sphere_table(self):
         t = cohomology(make_bundle(1, 3))
         assert t.to_list() == ["Z", "0", "0", "0", "0", "0", "0", "Z"]
