@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -27,6 +28,7 @@ from .bundle import InvalidBundleError, NEGATIVE, POSITIVE, make_bundle
 from .classify import NO, YES, census, gz_family, oriented_diffeomorphic, unoriented_diffeomorphic
 from .moduli import (
     DISTINCT_COMPONENTS,
+    INCONCLUSIVE,
     ComponentsReport,
     _certificate,
     _components_rows,
@@ -37,16 +39,34 @@ from .space import dossier, realized_mu_set, realized_mu_set_unoriented
 FORMATS = ("json", "tsv", "pretty")
 
 # Upper bounds on the work one invocation may ask for: --pairs P prints
-# P(P+1)/2 certificates (125,250 at the limit, 45-65 MB of JSON), --count C
-# lists C family members, and a census its classes (8 MiB of JSON at the limit).
+# P(P+1)/2 certificates (125,250 at the limit, up to 221 MiB of JSON with
+# --quote-provenance for |l| < 10^12), --count C lists C family members, and a
+# census its classes (8 MiB of JSON at the limit).  The digits of the parameters
+# are not bounded by those counts, so the estimated output is bounded too:
+# 256 MiB admits every --pairs <= 500 report with |l| < 10^12.
 MAX_PAIRS = 500
 MAX_FAMILY_COUNT = 100_000
 MAX_CENSUS_CLASSES = 100_000
+MAX_OUTPUT_BYTES = 256 * 2**20
 
 
 def _check_limit(option: str, value: int, limit: int) -> None:
     if value > limit:
         raise ValueError(f"{option} {value} exceeds the limit of {limit}")
+
+
+def _check_output_size(items: int, item_bytes: int, *ints: int) -> None:
+    """Refuse, before any work, output of items records that each print item_bytes
+    of fixed text and the ints in decimal, when it would exceed MAX_OUTPUT_BYTES.
+
+    Digits are bounded from bit_length(): str() of an int is quadratic in its
+    length.  One more record stands in for the head and tail of the report.
+    """
+    # log10(2) < 0.30103, so this bounds the digits; one more byte for the sign
+    digits = sum(abs(x).bit_length() * 30103 // 100000 + 2 for x in ints)
+    size = (max(items, 0) + 1) * (item_bytes + digits)
+    if size > MAX_OUTPUT_BYTES:
+        raise ValueError(f"output of about {size} bytes exceeds the limit of {MAX_OUTPUT_BYTES} bytes")
 
 
 def _resolve_format(args: argparse.Namespace, tsv_ok: bool = False) -> str:
@@ -122,47 +142,75 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return 0 if cert.verdict == DISTINCT_COMPONENTS else 3
 
 
-def _components_json(
+def _print_components_json(
     report: ComponentsReport, rows: Iterable[tuple[int, int, int, str]], quote_provenance: bool
-) -> str:
-    """json.dumps(infinite_components_report(...).to_dict(quote_provenance),
+) -> None:
+    """Print json.dumps(infinite_components_report(...).to_dict(quote_provenance),
     indent=2, sort_keys=True) for the certificate-free report and the rows of
-    moduli._components_rows, built from one template per report instead of
+    moduli._components_rows, built from constant pieces of text instead of
     one certificate object per pair.
 
     All certificates of a report share n, sign_X, ahat, the curvature classes,
     the derivation note and the provenance.  So one sample certificate is
-    dumped once, with slots for the fields that vary (k0, k1, the two metric
-    labels, p1sq_X, verdict), and each row fills the slots.  Those values are
-    ints, "GZ(k)" labels, "p/1" strings and verdict names, none of which JSON
-    escapes.
+    dumped once, with a marker in each field that varies, and cut at the
+    markers into seven constant pieces c0..c6.  With sorted keys the fields
+    come in the order k0, k1, the two metric labels, p1sq_X, verdict, so a
+    certificate reads
+
+        c0 k_i c1 k_j c2 GZ(k_i) c3 GZ(k_j) c4 p c5 verdict c6
+
+    where the pieces carry the quotes of the string fields and the "/1" of
+    p1sq_X.  The pieces are joined ahead of time per family member
+    (c0+k_i+c1, k_j+c2, GZ(k_i)+c3, GZ(k_j)+c4) and per verdict
+    (c5+verdict+c6), so each row is six parts and no template is parsed per
+    row.  The values are ints, "GZ(k)" labels and verdict names, none of which
+    JSON escapes.  The report around the certificates is written before and
+    after them, and each row is written as it is rendered, so the output is
+    never held in memory whole.
     """
     text = json.dumps(report.to_dict(quote_provenance), indent=2, sort_keys=True)
     family = report.family
     if len(family) < 2:
-        return text
-    slots = [f"\x00{i}" for i in range(6)]
+        print(text)
+        return
     sample = _certificate(family[0], family[1], report.curvature_classes).to_dict(quote_provenance)
-    sample.update(k0=slots[0], k1=slots[1], metric_labels=slots[2:4], p1sq_X=slots[4], verdict=slots[5])
-    template = json.dumps(sample, indent=2, sort_keys=True)
+    sample.update(k0="\x00", k1="\x00", metric_labels=["\x00", "\x00"], p1sq_X="\x00/1", verdict="\x00")
     # certificates sit two levels deep in the report
-    template = "    " + template.replace("{", "{{").replace("}", "}}").replace("\n", "\n    ")
-    # k0 and k1 are JSON numbers, p1sq_X is the string "p/1" of the integer p,
-    # and the other slots are strings
-    fields = ("{0}", "{1}", '"{2}"', '"{3}"', '"{4}/1"', '"{5}"')
-    for slot, field in zip(slots, fields):
-        template = template.replace(json.dumps(slot), field)
-    fill = template.format
+    template = "    " + json.dumps(sample, indent=2, sort_keys=True).replace("\n", "\n    ")
+    slot = json.dumps("\x00")[1:-1]
+    # k0 and k1, the first two slots, are JSON numbers: drop their quotes
+    c0, c1, c2, c3, c4, c5, c6 = template.replace(f'"{slot}"', slot, 2).split(slot)
     ks = [str(b.pont) for b in family]
-    labels = [f"GZ({k})" for k in ks]
-    body = ",\n".join([fill(ks[i], ks[j], labels[i], labels[j], p, verdict) for i, j, p, verdict in rows])
-    return text.replace('"certificates": []', f'"certificates": [\n{body}\n  ]', 1)
+    heads = [f"{c0}{k}{c1}" for k in ks]
+    seconds = [f"{k}{c2}" for k in ks]
+    first_labels = [f"GZ({k}){c3}" for k in ks]
+    second_labels = [f"GZ({k}){c4}" for k in ks]
+    tails = {v: f"{c5}{v}{c6}" for v in (DISTINCT_COMPONENTS, INCONCLUSIVE)}
+    head, tail = text.split('"certificates": []', 1)
+    out = sys.stdout
+    out.write(f'{head}"certificates": [')
+    seps = itertools.chain(("\n",), itertools.repeat(",\n"))
+    out.writelines(
+        f"{sep}{heads[i]}{seconds[j]}{first_labels[i]}{second_labels[j]}{p}{tails[verdict]}"
+        for sep, (i, j, p, verdict) in zip(seps, rows)
+    )
+    out.write(f"\n  ]{tail}\n")
 
 
 def _cmd_components(args: argparse.Namespace) -> int:
     fmt = _resolve_format(args)
     _check_limit("--pairs", args.pairs, MAX_PAIRS)
     b = make_bundle(args.n, args.l)
+    pairs = max(args.pairs, 0)
+    # the members, then per pair k0, k1 and p1sq_X = -448(j - i)(k_i + k_j)/1, whose
+    # JSON certificate also prints n and the two GZ(k) labels in 460 bytes of fixed
+    # text (1770 with the provenance)
+    k = max(abs(args.l), abs(args.l + 112 * args.n * pairs))
+    items = pairs * (pairs + 1) // 2 + pairs + 1
+    if fmt == "pretty":
+        _check_output_size(items, 44, k, k, 896 * pairs * k)
+    else:
+        _check_output_size(items, 1770 if args.quote_provenance else 460, args.n, k, k, k, k, 896 * pairs * k)
     report, rows = _components_rows(b, args.pairs, include_scal=args.scal)
     if fmt == "pretty":
         if report.banner:
@@ -175,7 +223,7 @@ def _cmd_components(args: argparse.Namespace) -> int:
         lines.append(report.note)
         print("\n".join(lines))
     else:
-        print(_components_json(report, rows, args.quote_provenance))
+        _print_components_json(report, rows, args.quote_provenance)
     return 0 if report.certified else 3
 
 
@@ -187,6 +235,10 @@ def _cmd_census(args: argparse.Namespace) -> int:
     classes = (end - 1 - args.n) // 2 - (args.k_from - 1 - args.n) // 2
     if classes > MAX_CENSUS_CLASSES:
         raise ValueError(f"census of {classes} classes exceeds the limit of {MAX_CENSUS_CLASSES}")
+    # each class prints its representative, its member count (at most the window
+    # length) and mu in 86, 10 or 27 bytes of fixed text
+    k = max(abs(args.k_from), abs(args.k_to))
+    _check_output_size(classes, {"json": 86, "tsv": 10, "pretty": 27}[fmt], k, args.k_to - args.k_from + 1)
     report = census(args.n, args.k_from, args.k_to, unoriented=args.unoriented)
     if fmt == "tsv":
         print(report.to_tsv())
@@ -219,6 +271,9 @@ def _cmd_realized_mu(args: argparse.Namespace) -> int:
 def _cmd_family(args: argparse.Namespace) -> int:
     fmt = _resolve_format(args, tsv_ok=True)
     _check_limit("--count", args.count, MAX_FAMILY_COUNT)
+    # each member prints n (not in pretty output) and k in 42, 2 or 1 bytes of fixed text
+    k = max(abs(args.l), abs(args.l + 112 * args.n * (args.count - 1)))
+    _check_output_size(args.count, {"json": 42, "tsv": 2, "pretty": 1}[fmt], args.n, k)
     members = gz_family(make_bundle(args.n, args.l), args.count)
     if fmt == "tsv":
         lines = ["euler\tk"] + [f"{b.euler}\t{b.pont}" for b in members]
@@ -248,6 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="spherectl",
         description="Exact invariants, classification and moduli-space separation "
         "certificates for linear S^3-bundles over S^4.",
+        epilog=f"components, family and census print at most {MAX_OUTPUT_BYTES} bytes (256 MiB): "
+        "a request for more exits 2 before any work.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -291,7 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--from", dest="k_from", type=int, required=True)
     p.add_argument("--to", dest="k_to", type=int, required=True,
-                   help=f"last k of the window; a census lists at most {MAX_CENSUS_CLASSES} classes")
+                   help=f"last k of the window; a census lists at most {MAX_CENSUS_CLASSES} classes "
+                   f"in at most {MAX_OUTPUT_BYTES} bytes")
     p.add_argument("--unoriented", action="store_true")
     _add_format_option(p)
     p.set_defaults(func=_cmd_census)

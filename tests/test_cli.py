@@ -434,6 +434,7 @@ class TestComponentsRenderer:
     @example((4, -224 * 79, 40), True, True)  # i + j = 79 = 2*pairs - 1, the last pair
     @example((6, -336 * 80, 40), False, True)  # i + j = 80 is out of reach: certified
     @example((10, -560 * 50, 55), True, False)
+    @example((5, 10**299 + 1, 8), True, True)  # 300 digits: member strings are built from big ints
     def test_json_matches_reference(self, inputs, quote, scal):
         n, l, pairs = inputs
         argv = ["components", "--n", str(n), "--l", str(l), "--pairs", str(pairs)]
@@ -634,3 +635,103 @@ class TestWorkLimits:
         code, out, err = run(capsys, "census", "--n", str(n), "--from", str(k_from), "--to", str(k_to))
         assert (code, out) == (2, "")
         assert message in err
+
+    def test_output_limit_is_fixed_and_shown_in_help(self, capsys):
+        assert cli.MAX_OUTPUT_BYTES == 256 * 2**20
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert f"at most {cli.MAX_OUTPUT_BYTES} bytes" in " ".join(capsys.readouterr().out.split())
+
+    @staticmethod
+    def over_budget_argv(command: str, digits: int, sign: int, count: int, n: int) -> list[str]:
+        # 3,000 to 4,000 digits at counts near their limits: at least 270 MB
+        big = sign * (10**digits + 1)
+        if command == "components":
+            return ["components", "--n", "1", "--l", str(big), "--pairs", str(cli.MAX_PAIRS - count % 50)]
+        if command == "family":
+            return ["family", "--n", "1", "--l", str(big), "--count", str(cli.MAX_FAMILY_COUNT - count)]
+        # 112n exceeds the window, so a census of 2m integers has m classes
+        k_from = big - 1 + (big - 1 - n) % 2
+        m = cli.MAX_CENSUS_CLASSES - count
+        return ["census", "--n", str(n), "--from", str(k_from), "--to", str(k_from + 2 * m - 1)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(("components", "family", "census")),
+        st.integers(min_value=3000, max_value=4000),
+        st.sampled_from((1, -1)),
+        st.integers(min_value=0, max_value=5000),
+        st.integers(min_value=1800, max_value=10**6),
+        st.sampled_from(("json", "pretty", "tsv")),
+    )
+    def test_over_output_limit_exits_2_with_empty_stdout(self, command, digits, sign, count, n, fmt):
+        argv = self.over_budget_argv(command, digits, sign, count, n) + ["--format", fmt]
+        buf, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, buf.getvalue()) == (2, "")
+        # components has no tsv output, which is rejected first
+        expected = "census and family" if (command, fmt) == ("components", "tsv") else "bytes exceeds the limit of"
+        assert expected in err.getvalue()
+
+    @pytest.mark.parametrize("command, worker", [
+        ("components", "_components_rows"), ("family", "gz_family"), ("census", "census"),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_output_limit_refused_before_any_work(self, monkeypatch, command, worker, fmt):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{worker} called for an output over the limit")
+
+        monkeypatch.setattr(cli, worker, refuse)
+        code, out = capture_main(self.over_budget_argv(command, 3000, 1, 0, 1800) + ["--format", fmt])
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("argv", [
+        # these two print 226,819,487 and 231,541,956 bytes
+        ["components", "--n", "2", "--l", "-78400", "--pairs", "500", "--quote-provenance"],
+        ["components", "--n", "2", "--l", "-999999999888", "--pairs", "500", "--quote-provenance"],
+        ["components", "--n", "1", "--l", str(10**12 - 1), "--pairs", "500", "--quote-provenance"],
+        ["components", "--n", "1000", "--l", str(-10**12), "--pairs", "500", "--quote-provenance"],
+        ["family", "--n", "1", "--l", str(-10**12 + 1), "--count", "100000"],
+        ["census", "--n", "1786", "--from", str(-10**12), "--to", str(-10**12 + 199_999)],
+    ])
+    def test_output_limit_admits_small_parameters_at_the_count_limits(self, argv):
+        # only the estimate is taken: with the limit just below it, the call is refused
+        # without work, and its message gives the estimate
+        err = io.StringIO()
+        with mock.patch.object(cli, "MAX_OUTPUT_BYTES", 0), contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        estimate = int(err.getvalue().split("output of about ")[1].split()[0])
+        assert estimate <= cli.MAX_OUTPUT_BYTES
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(("components", "family", "census")),
+        st.sampled_from((1, 2, 3, 10, 1000)),
+        st.one_of(st.integers(min_value=-10**4, max_value=10**4),
+                  st.integers(min_value=-10**300, max_value=10**300)),
+        st.integers(min_value=0, max_value=3000),
+        st.sampled_from(("json", "pretty", "tsv")),
+        st.booleans(),
+    )
+    def test_output_estimate_bounds_the_output(self, command, n, l, size, fmt, quote):
+        # for outputs of 64 KiB or more the estimate is at least the output, and it is
+        # never more than twice the output plus 64 KiB
+        l += (l - n) % 2
+        if command == "components":
+            fmt = "json" if fmt == "tsv" else fmt
+            argv = ["components", "--n", str(n), "--l", str(l), "--pairs", str(size % 60)]
+            argv += ["--quote-provenance"] if quote else []
+        elif command == "family":
+            argv = ["family", "--n", str(n), "--l", str(l), "--count", str(size + 1)]
+        else:
+            argv = ["census", "--n", str(n), "--from", str(l), "--to", str(l + size)]
+        argv += ["--format", fmt]
+        code, out = capture_main(argv)
+        assert code != 2
+        actual = len(out.encode())
+        with mock.patch.object(cli, "MAX_OUTPUT_BYTES", 2 * actual + 2**16):
+            assert capture_main(argv) == (code, out)
+        if actual >= 2**16:
+            with mock.patch.object(cli, "MAX_OUTPUT_BYTES", actual - 1):
+                assert capture_main(argv) == (2, "")
