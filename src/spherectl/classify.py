@@ -6,6 +6,11 @@ general case: k' == k (mod 2n) certifies homeomorphism and k' == k (mod 112n)
 certifies orientation-preserving diffeomorphism.  A pair that meets no
 criterion and triggers no obstruction stays Unknown; "criterion not met" is
 never upgraded to "No".
+
+Each decider is one ordered table of rules (spheres_only, key, if_equal,
+if_differ) read by _decide after the cohomology obstruction: the first rule in
+scope whose outcome for key(b1) == key(b2) (key None: equal) is not None
+decides, else Unknown.  census keys homotopy spheres by the first rule's key.
 """
 
 from __future__ import annotations
@@ -51,6 +56,34 @@ class DiffeoVerdict(_Value):
         return {"answer": self.answer, "reason": self.reason}
 
 
+# keys look mu_invariant up per call, so that a patched module global is seen
+_HOMEOMORPHIC = (
+    (True, None, (YES, TOPOLOGICAL_SPHERE), None),
+    (False, lambda b: b.pont % (2 * abs(b.euler)), (YES, CONGRUENCE_MOD_2N), None),
+)
+_ORIENTED = (
+    (True, lambda b: mu_invariant(b), (YES, MU_INVARIANT_EQUAL), (NO, MU_INVARIANT_DIFFER)),
+    (False, lambda b: (b.euler, b.pont % (112 * abs(b.euler))), (YES, CONGRUENCE_MOD_112N), None),
+)
+_UNORIENTED = (
+    (True, lambda b: fold_orientation(mu_invariant(b)), (YES, MU_INVARIANT_EQUAL), (NO, MU_INVARIANT_DIFFER)),
+    (False, lambda b: b.pont % (112 * abs(b.euler)), (YES, CONGRUENCE_MOD_112N), None),
+)
+
+
+def _decide(rules: tuple, b1: BundleClass, b2: BundleClass) -> DiffeoVerdict:
+    n = abs(b1.euler)
+    if n != abs(b2.euler):
+        return DiffeoVerdict(NO, COHOMOLOGY_OBSTRUCTION)
+    for spheres_only, key, if_equal, if_differ in rules:
+        if spheres_only and n != 1:
+            continue
+        outcome = if_equal if key is None or key(b1) == key(b2) else if_differ
+        if outcome is not None:
+            return DiffeoVerdict(*outcome)
+    return DiffeoVerdict(UNKNOWN, OUTSIDE_KNOWN_CRITERIA)
+
+
 def homeomorphic(b1: BundleClass, b2: BundleClass) -> DiffeoVerdict:
     """Decide whether the two total spaces are homeomorphic.
 
@@ -59,14 +92,7 @@ def homeomorphic(b1: BundleClass, b2: BundleClass) -> DiffeoVerdict:
     congruence.  Euler coefficients are compared up to sign (the total space
     does not change under bundle orientation reversal).
     """
-    n1, n2 = abs(b1.euler), abs(b2.euler)
-    if n1 != n2:
-        return DiffeoVerdict(NO, COHOMOLOGY_OBSTRUCTION)
-    if n1 == 1:
-        return DiffeoVerdict(YES, TOPOLOGICAL_SPHERE)
-    if (b1.pont - b2.pont) % (2 * n1) == 0:
-        return DiffeoVerdict(YES, CONGRUENCE_MOD_2N)
-    return DiffeoVerdict(UNKNOWN, OUTSIDE_KNOWN_CRITERIA)
+    return _decide(_HOMEOMORPHIC, b1, b2)
 
 
 def oriented_diffeomorphic(b1: BundleClass, b2: BundleClass) -> DiffeoVerdict:
@@ -76,16 +102,7 @@ def oriented_diffeomorphic(b1: BundleClass, b2: BundleClass) -> DiffeoVerdict:
     Yes or No.  For |n| > 1 the congruence k' == k (mod 112n) is sufficient
     but not known to be necessary, so its failure leaves the pair Unknown.
     """
-    n1, n2 = abs(b1.euler), abs(b2.euler)
-    if n1 != n2:
-        return DiffeoVerdict(NO, COHOMOLOGY_OBSTRUCTION)
-    if n1 == 1:
-        if mu_invariant(b1) == mu_invariant(b2):
-            return DiffeoVerdict(YES, MU_INVARIANT_EQUAL)
-        return DiffeoVerdict(NO, MU_INVARIANT_DIFFER)
-    if b1.euler == b2.euler and (b1.pont - b2.pont) % (112 * n1) == 0:
-        return DiffeoVerdict(YES, CONGRUENCE_MOD_112N)
-    return DiffeoVerdict(UNKNOWN, OUTSIDE_KNOWN_CRITERIA)
+    return _decide(_ORIENTED, b1, b2)
 
 
 def unoriented_diffeomorphic(b1: BundleClass, b2: BundleClass) -> DiffeoVerdict:
@@ -95,16 +112,7 @@ def unoriented_diffeomorphic(b1: BundleClass, b2: BundleClass) -> DiffeoVerdict:
     |n| > 1 the oriented congruence (applied after normalizing both Euler
     coefficients positive) is the only available certificate.
     """
-    n1, n2 = abs(b1.euler), abs(b2.euler)
-    if n1 != n2:
-        return DiffeoVerdict(NO, COHOMOLOGY_OBSTRUCTION)
-    if n1 == 1:
-        if fold_orientation(mu_invariant(b1)) == fold_orientation(mu_invariant(b2)):
-            return DiffeoVerdict(YES, MU_INVARIANT_EQUAL)
-        return DiffeoVerdict(NO, MU_INVARIANT_DIFFER)
-    if (b1.pont - b2.pont) % (112 * n1) == 0:
-        return DiffeoVerdict(YES, CONGRUENCE_MOD_112N)
-    return DiffeoVerdict(UNKNOWN, OUTSIDE_KNOWN_CRITERIA)
+    return _decide(_UNORIENTED, b1, b2)
 
 
 def gz_family(b: BundleClass, count: int) -> list[BundleClass]:
@@ -250,14 +258,11 @@ def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusRe
     if k_to < k_from:
         raise ValueError(f"census window [{k_from}, {k_to}] is empty: requires k_from <= k_to")
     step = 112 * n
+    mu_key = (_UNORIENTED if unoriented else _ORIENTED)[0][1]  # the key of the |n| = 1 rule
     groups: dict[object, list[range]] = {}
     # the first member of each residue class lies in [k_from, k_from + step)
     for first in range(k_from + (n - k_from) % 2, min(k_to + 1, k_from + step), 2):
-        if n == 1:
-            mu = mu_invariant(BundleClass(1, first))
-            key: object = fold_orientation(mu) if unoriented else mu
-        else:
-            key = first
+        key = mu_key(BundleClass(1, first)) if n == 1 else first
         groups.setdefault(key, []).append(range(first, k_to + 1, step))
 
     classes = sorted(
@@ -274,12 +279,9 @@ def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusRe
     valid = sum(c.members_count for c in classes)
     skipped = (k_to - k_from + 1) - valid
 
-    if n == 1:
-        unknown_pairs = 0
-    else:
-        total = valid * (valid - 1) // 2
-        within = sum(c.members_count * (c.members_count - 1) // 2 for c in classes)
-        unknown_pairs = total - within
+    # pairs in different classes are No for n = 1, where mu is complete, else Unknown
+    within = sum(c.members_count * (c.members_count - 1) // 2 for c in classes)
+    unknown_pairs = 0 if n == 1 else valid * (valid - 1) // 2 - within
 
     return CensusReport(
         n=n,

@@ -25,7 +25,7 @@ import sys
 from collections.abc import Iterable
 
 from .bundle import InvalidBundleError, NEGATIVE, POSITIVE, make_bundle
-from .classify import NO, YES, census, gz_family, oriented_diffeomorphic, unoriented_diffeomorphic
+from .classify import NO, UNKNOWN, YES, census, gz_family, oriented_diffeomorphic, unoriented_diffeomorphic
 from .moduli import (
     DISTINCT_COMPONENTS,
     INCONCLUSIVE,
@@ -37,6 +37,8 @@ from .moduli import (
 from .space import dossier, realized_mu_set, realized_mu_set_unoriented
 
 FORMATS = ("json", "tsv", "pretty")
+# the exit code of each verdict, as in the table above
+EXIT_CODES = {YES: 0, NO: 1, UNKNOWN: 3, DISTINCT_COMPONENTS: 0, INCONCLUSIVE: 3}
 
 # Upper bounds on the work one invocation may ask for: --pairs P prints
 # P(P+1)/2 certificates (125,250 at the limit, up to 221 MiB of JSON with
@@ -113,11 +115,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         print(f"{verdict.answer} ({verdict.reason})")
     else:
         _emit_json(payload)
-    if verdict.answer == YES:
-        return 0
-    if verdict.answer == NO:
-        return 1
-    return 3
+    return EXIT_CODES[verdict.answer]
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
@@ -139,7 +137,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                 print(f"  - {step}")
     else:
         _emit_json(payload)
-    return 0 if cert.verdict == DISTINCT_COMPONENTS else 3
+    return EXIT_CODES[cert.verdict]
 
 
 def _print_components_json(
@@ -214,14 +212,13 @@ def _cmd_components(args: argparse.Namespace) -> int:
     report, rows = _components_rows(b, args.pairs, include_scal=args.scal)
     if fmt == "pretty":
         if report.banner:
-            lines = [report.banner, f"curvature: {' '.join(report.curvature_classes)}"]
+            print(report.banner, f"curvature: {' '.join(report.curvature_classes)}", sep="\n")
         else:
-            lines = ["verdict withheld" if report.certified is None else "certification failed"]
+            print("verdict withheld" if report.certified is None else "certification failed")
         ks = [str(m.pont) for m in report.family]
-        lines.append(f"family: {' '.join(ks)}")
-        lines += [f"  k0={ks[i]} k1={ks[j]}: {verdict} (p1sq_X = {p}/1)" for i, j, p, verdict in rows]
-        lines.append(report.note)
-        print("\n".join(lines))
+        print(f"family: {' '.join(ks)}")
+        sys.stdout.writelines(f"  k0={ks[i]} k1={ks[j]}: {v} (p1sq_X = {p}/1)\n" for i, j, p, v in rows)
+        print(report.note)
     else:
         _print_components_json(report, rows, args.quote_provenance)
     return 0 if report.certified else 3

@@ -170,6 +170,6 @@ def dossier(b: BundleClass, o: Orientation = POSITIVE) -> SpaceDossier:
         cohomology=cohomology(b),
         is_homotopy_sphere=sphere,
         sign_W=o.sign,
-        p1sq_W=Rational(o.sign * 4 * b.pont * b.pont, abs(b.euler)),
+        p1sq_W=-p1_squared_W(b) if o.sign * b.euler < 0 else p1_squared_W(b),
         mu=mu_invariant(b, o) if sphere else None,
     )

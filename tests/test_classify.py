@@ -121,6 +121,93 @@ class TestUnorientedDiffeomorphic:
         assert (v.answer, v.reason) == (NO, MU_INVARIANT_DIFFER)
 
 
+def homeomorphic_reference(b1: BundleClass, b2: BundleClass) -> DiffeoVerdict:
+    """homeomorphic as it was written before the rule table."""
+    n1, n2 = abs(b1.euler), abs(b2.euler)
+    if n1 != n2:
+        return DiffeoVerdict(NO, COHOMOLOGY_OBSTRUCTION)
+    if n1 == 1:
+        return DiffeoVerdict(YES, TOPOLOGICAL_SPHERE)
+    if (b1.pont - b2.pont) % (2 * n1) == 0:
+        return DiffeoVerdict(YES, CONGRUENCE_MOD_2N)
+    return DiffeoVerdict(UNKNOWN, OUTSIDE_KNOWN_CRITERIA)
+
+
+def oriented_diffeomorphic_reference(b1: BundleClass, b2: BundleClass) -> DiffeoVerdict:
+    """oriented_diffeomorphic as it was written before the rule table."""
+    n1, n2 = abs(b1.euler), abs(b2.euler)
+    if n1 != n2:
+        return DiffeoVerdict(NO, COHOMOLOGY_OBSTRUCTION)
+    if n1 == 1:
+        if mu_invariant(b1) == mu_invariant(b2):
+            return DiffeoVerdict(YES, MU_INVARIANT_EQUAL)
+        return DiffeoVerdict(NO, MU_INVARIANT_DIFFER)
+    if b1.euler == b2.euler and (b1.pont - b2.pont) % (112 * n1) == 0:
+        return DiffeoVerdict(YES, CONGRUENCE_MOD_112N)
+    return DiffeoVerdict(UNKNOWN, OUTSIDE_KNOWN_CRITERIA)
+
+
+def unoriented_diffeomorphic_reference(b1: BundleClass, b2: BundleClass) -> DiffeoVerdict:
+    """unoriented_diffeomorphic as it was written before the rule table."""
+    n1, n2 = abs(b1.euler), abs(b2.euler)
+    if n1 != n2:
+        return DiffeoVerdict(NO, COHOMOLOGY_OBSTRUCTION)
+    if n1 == 1:
+        if fold_orientation(mu_invariant(b1)) == fold_orientation(mu_invariant(b2)):
+            return DiffeoVerdict(YES, MU_INVARIANT_EQUAL)
+        return DiffeoVerdict(NO, MU_INVARIANT_DIFFER)
+    if (b1.pont - b2.pont) % (112 * n1) == 0:
+        return DiffeoVerdict(YES, CONGRUENCE_MOD_112N)
+    return DiffeoVerdict(UNKNOWN, OUTSIDE_KNOWN_CRITERIA)
+
+
+EULERS = (1, 2, 3, 5, 7)
+BIG_K = st.integers(min_value=-(10**60), max_value=10**60)
+
+
+@st.composite
+def decider_pairs(draw):
+    """A bundle and a partner: congruent mod 2n or mod 112n, unrelated, or of
+    another |n|, with the partner's Euler coefficient of either sign."""
+    n = draw(st.sampled_from(EULERS)) * draw(st.sampled_from((1, -1)))
+    k = draw(BIG_K)
+    k += (k - n) % 2
+    j = draw(BIG_K)
+    n2 = draw(st.sampled_from((n, -n)))
+    partner = draw(st.sampled_from(("mod2n", "mod112n", "unrelated", "other_n")))
+    if partner == "mod2n":
+        k2 = k + 2 * n * j
+    elif partner == "mod112n":
+        k2 = k + 112 * n * j
+    else:
+        if partner == "other_n":
+            n2 = draw(st.sampled_from([m for m in EULERS if m != abs(n)])) * draw(st.sampled_from((1, -1)))
+        k2 = j + (j - n2) % 2
+    return (n, k), (n2, k2)
+
+
+class TestDecidersMatchReference:
+    """The rule-table deciders against the hand-written ones they replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(decider_pairs())
+    @example(((3, 1), (-3, 1)))  # Yes by the 2n congruence, though the signs of n differ
+    @example(((3, 1), (-3, 337)))  # unoriented Yes by the 112n congruence
+    @example(((1, 3), (-1, 21)))
+    @example(((2, 2), (2, 226)))
+    @example(((5, 1), (7, 1)))
+    def test_same_verdict_as_reference(self, pair):
+        (n1, k1), (n2, k2) = pair
+        b1, b2 = make_bundle(n1, k1), make_bundle(n2, k2)
+        for decide, reference in (
+            (homeomorphic, homeomorphic_reference),
+            (oriented_diffeomorphic, oriented_diffeomorphic_reference),
+            (unoriented_diffeomorphic, unoriented_diffeomorphic_reference),
+        ):
+            assert decide(b1, b2) == reference(b1, b2)
+            assert decide(b2, b1) == reference(b2, b1)
+
+
 class TestGzFamily:
     def test_unit_euler_family(self):
         members = gz_family(make_bundle(1, 3), 3)

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spherectl import cli, moduli
+from spherectl import classify, cli, moduli
 from spherectl.bundle import make_bundle
 from spherectl.classify import census
 from spherectl.cli import main
@@ -75,6 +75,32 @@ class TestClassifyCommand:
         )
         assert code == 0
         assert json.loads(out)["answer"] == "Yes"
+
+    @pytest.mark.parametrize("argv, code, reason", [
+        (["--n1", "1", "--k1", "3", "--n2", "1", "--k2", "115"], 0, "MuInvariantEqual"),
+        (["--n1", "1", "--k1", "1", "--n2", "1", "--k2", "3"], 1, "MuInvariantDiffer"),
+        (["--n1", "5", "--k1", "1", "--n2", "5", "--k2", "111"], 3, "OutsideKnownCriteria"),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_exit_code_follows_the_verdict(self, capsys, argv, code, reason, fmt):
+        got, out, _ = run(capsys, "classify", *argv, "--format", fmt)
+        assert got == code
+        assert reason in out
+
+
+class TestExitCodes:
+    def test_table_matches_the_docstring(self):
+        # the docstring lists the outcomes of each exit code: "    3  Unknown / Inconclusive / ..."
+        listed = {}
+        for line in cli.__doc__.splitlines():
+            code, _, outcomes = line.strip().partition("  ")
+            if code.isdigit():
+                listed[int(code)] = outcomes.split(" / ")
+        assert all(verdict in listed[code] for verdict, code in cli.EXIT_CODES.items())
+
+    def test_every_verdict_has_an_exit_code(self):
+        answers = set(classify._ALLOWED_REASONS)
+        assert set(cli.EXIT_CODES) == answers | {moduli.DISTINCT_COMPONENTS, moduli.INCONCLUSIVE}
 
 
 class TestCertifyCommand:
@@ -495,6 +521,20 @@ class TestComponentsRenderer:
         argv += ["--quote-provenance"] if quote else []
         argv += [] if scal else ["--no-scal"]
         assert capture_main(argv) == components_pretty_reference(n, l, pairs, quote, scal)
+
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_rows_are_written_as_they_are_rendered(self, fmt):
+        # no single write carries more than a sliver of the report, so it is never held whole
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                return super().write(text)
+
+        with contextlib.redirect_stdout(Recorder()):
+            assert main(["components", "--n", "1", "--l", "3", "--pairs", "40", "--format", fmt]) == 0
+        assert max(writes) * 50 < sum(writes)
 
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
     def test_cli_builds_at_most_one_certificate(self, monkeypatch, fmt):

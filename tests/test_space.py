@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spherectl.bundle import BundleClass, NEGATIVE, POSITIVE, make_bundle
 from spherectl.exactnum import QmodZ, Rational, qmodz_neg
@@ -219,6 +219,21 @@ class TestDossier:
             "p1sq_W": "36/1",
             "mu": "1/28",
         }
+
+    @given(
+        n=st.sampled_from([1, 2, 3, 5, 7, 10**9]),
+        euler_sign=st.sampled_from([1, -1]),
+        k=st.integers(min_value=-(10**60), max_value=10**60),
+        o=st.sampled_from([POSITIVE, NEGATIVE]),
+    )
+    @example(n=3, euler_sign=-1, k=1, o=POSITIVE)  # negative n: p1_squared_W is negative
+    @example(n=3, euler_sign=-1, k=1, o=NEGATIVE)
+    def test_p1sq_W_matches_the_inline_formula(self, n, euler_sign, k, o):
+        # the value dossier computed inline before it read p1_squared_W: p1^2[W]
+        # in the sign(W) = +1 convention, negated by a reversed orientation
+        b = make_bundle(euler_sign * n, k + (k - n) % 2)
+        d = dossier(b, o)
+        assert d.p1sq_W == Rational(o.sign * 4 * b.pont * b.pont, abs(b.euler))
 
     def test_is_homotopy_sphere_iff_unit_euler(self):
         assert is_homotopy_sphere(make_bundle(-1, 5))
