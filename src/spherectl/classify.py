@@ -237,6 +237,13 @@ class CensusReport(_Value):
         return "\n".join(lines)
 
 
+def _census_firsts(n: int, k_from: int, k_to: int) -> range:
+    """The first member of each residue class of k mod 112n in [k_from, k_to]: the
+    k == n (mod 2) among the first min(window length, 112n) integers of the window.
+    Empty for n <= 0 and for a reversed window."""
+    return range(k_from + (n - k_from) % 2, min(k_to + 1, k_from + 112 * n), 2)
+
+
 def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusReport:
     """Partition all valid k in the closed interval [k_from, k_to] into classes.
 
@@ -248,8 +255,7 @@ def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusRe
     Cost model: O(min(window length, 112n)).  Both keys depend only on
     k mod 112n (mu(k) = (k^2 - 1)/224 mod 1 has period 112), so each residue
     r == n (mod 2) that occurs in the window is visited once, at its first
-    member: the valid k among the first 112n integers of the window, or all
-    of them in a shorter window.  The members of a residue form
+    member (_census_firsts).  The members of a residue form
     range(first, k_to + 1, 112n), counted by floor arithmetic, and for n = 1
     mu_invariant is evaluated once per residue, at most 56 times.
     """
@@ -260,21 +266,12 @@ def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusRe
     step = 112 * n
     mu_key = (_UNORIENTED if unoriented else _ORIENTED)[0][1]  # the key of the |n| = 1 rule
     groups: dict[object, list[range]] = {}
-    # the first member of each residue class lies in [k_from, k_from + step)
-    for first in range(k_from + (n - k_from) % 2, min(k_to + 1, k_from + step), 2):
+    for first in _census_firsts(n, k_from, k_to):
         key = mu_key(BundleClass(1, first)) if n == 1 else first
         groups.setdefault(key, []).append(range(first, k_to + 1, step))
-
-    classes = sorted(
-        (
-            CensusClass(
-                representative=min(m.start for m in ranges),
-                member_ranges=tuple(ranges),
-                mu=key if n == 1 else None,
-            )
-            for key, ranges in groups.items()
-        ),
-        key=lambda c: c.representative,
+    # the first members ascend, so the groups come in the order of their representatives
+    classes = tuple(
+        CensusClass(ranges[0].start, tuple(ranges), key if n == 1 else None) for key, ranges in groups.items()
     )
     valid = sum(c.members_count for c in classes)
     skipped = (k_to - k_from + 1) - valid
@@ -289,6 +286,6 @@ def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusRe
         k_to=k_to,
         unoriented=unoriented,
         skipped=skipped,
-        classes=tuple(classes),
+        classes=classes,
         unknown_pairs_count=unknown_pairs,
     )

@@ -18,18 +18,17 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterator
 
 from .bundle import InvalidBundleError, NEGATIVE, POSITIVE, make_bundle
-from .classify import NO, UNKNOWN, YES, census, gz_family, oriented_diffeomorphic, unoriented_diffeomorphic
+from .classify import NO, UNKNOWN, YES, CensusReport, _census_firsts, census, gz_family
+from .classify import oriented_diffeomorphic, unoriented_diffeomorphic
 from .moduli import (
     DISTINCT_COMPONENTS,
     INCONCLUSIVE,
-    ComponentsReport,
     _certificate,
     _components_rows,
     separation_certificate,
@@ -140,58 +139,44 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_CODES[cert.verdict]
 
 
-def _print_components_json(
-    report: ComponentsReport, rows: Iterable[tuple[int, int, int, str]], quote_provenance: bool
-) -> None:
-    """Print json.dumps(infinite_components_report(...).to_dict(quote_provenance),
-    indent=2, sort_keys=True) for the certificate-free report and the rows of
-    moduli._components_rows, built from constant pieces of text instead of
-    one certificate object per pair.
+_MARK = "\x00"
 
-    All certificates of a report share n, sign_X, ahat, the curvature classes,
-    the derivation note and the provenance.  So one sample certificate is
-    dumped once, with a marker in each field that varies, and cut at the
-    markers into seven constant pieces c0..c6.  With sorted keys the fields
-    come in the order k0, k1, the two metric labels, p1sq_X, verdict, so a
-    certificate reads
 
-        c0 k_i c1 k_j c2 GZ(k_i) c3 GZ(k_j) c4 p c5 verdict c6
-
-    where the pieces carry the quotes of the string fields and the "/1" of
-    p1sq_X.  The pieces are joined ahead of time per family member
-    (c0+k_i+c1, k_j+c2, GZ(k_i)+c3, GZ(k_j)+c4) and per verdict
-    (c5+verdict+c6), so each row is six parts and no template is parsed per
-    row.  The values are ints, "GZ(k)" labels and verdict names, none of which
-    JSON escapes.  The report around the certificates is written before and
-    after them, and each row is written as it is rendered, so the output is
-    never held in memory whole.
+def _row_pieces(sample: dict) -> list[str]:
+    """The text of sample as an item of a top-level list, led by a comma and a
+    newline and cut at each _MARK (see _print_rows).  A field that is _MARK alone
+    loses its quotes, so a row gives it as JSON text (an int, null or a quoted
+    string); a _MARK inside a longer string keeps the quotes of that string.
+    Row values must need no JSON escapes.
     """
-    text = json.dumps(report.to_dict(quote_provenance), indent=2, sort_keys=True)
-    family = report.family
-    if len(family) < 2:
-        print(text)
-        return
-    sample = _certificate(family[0], family[1], report.curvature_classes).to_dict(quote_provenance)
-    sample.update(k0="\x00", k1="\x00", metric_labels=["\x00", "\x00"], p1sq_X="\x00/1", verdict="\x00")
-    # certificates sit two levels deep in the report
-    template = "    " + json.dumps(sample, indent=2, sort_keys=True).replace("\n", "\n    ")
-    slot = json.dumps("\x00")[1:-1]
-    # k0 and k1, the first two slots, are JSON numbers: drop their quotes
-    c0, c1, c2, c3, c4, c5, c6 = template.replace(f'"{slot}"', slot, 2).split(slot)
-    ks = [str(b.pont) for b in family]
-    heads = [f"{c0}{k}{c1}" for k in ks]
-    seconds = [f"{k}{c2}" for k in ks]
-    first_labels = [f"GZ({k}){c3}" for k in ks]
-    second_labels = [f"GZ({k}){c4}" for k in ks]
-    tails = {v: f"{c5}{v}{c6}" for v in (DISTINCT_COMPONENTS, INCONCLUSIVE)}
-    head, tail = text.split('"certificates": []', 1)
+    text = ",\n    " + json.dumps(sample, indent=2, sort_keys=True).replace("\n", "\n    ")
+    slot = json.dumps(_MARK)[1:-1]
+    return text.replace(f'"{slot}"', slot).split(slot)
+
+
+def _print_rows(payload: dict, key: str, rows: Iterator[str]) -> None:
+    """Print json.dumps(payload, indent=2, sort_keys=True) with the list at the
+    top-level key written row by row, so the report is never held in memory whole.
+
+    The payload is dumped with payload[key] = [] and cut at '"key": []' into a
+    head and a tail, written before and after the rows; with no rows it prints
+    [], as json.dumps does.  Each row is the text of one item led by a comma and
+    a newline, and the comma of the first row is dropped.
+
+    The items of a report share their keys and most values, so _row_pieces
+    dumps one sample item once, with a _MARK in each field that varies, and
+    cuts it at the markers into constant pieces c0, c1, ...  With sorted keys an
+    item reads c0 v0 c1 v1 ... for its varying values in key order, so a row is
+    one f-string and no template is parsed per row.
+    """
+    head, tail = json.dumps({**payload, key: []}, indent=2, sort_keys=True).split(f'"{key}": []', 1)
+    first = next(rows, None)
     out = sys.stdout
-    out.write(f'{head}"certificates": [')
-    seps = itertools.chain(("\n",), itertools.repeat(",\n"))
-    out.writelines(
-        f"{sep}{heads[i]}{seconds[j]}{first_labels[i]}{second_labels[j]}{p}{tails[verdict]}"
-        for sep, (i, j, p, verdict) in zip(seps, rows)
-    )
+    if first is None:
+        out.write(f'{head}"{key}": []{tail}\n')
+        return
+    out.write(f'{head}"{key}": [{first[1:]}')
+    out.writelines(rows)
     out.write(f"\n  ]{tail}\n")
 
 
@@ -220,16 +205,30 @@ def _cmd_components(args: argparse.Namespace) -> int:
         sys.stdout.writelines(f"  k0={ks[i]} k1={ks[j]}: {v} (p1sq_X = {p}/1)\n" for i, j, p, v in rows)
         print(report.note)
     else:
-        _print_components_json(report, rows, args.quote_provenance)
+        # a certificate reads c0 k_i c1 k_j c2 k_i c3 k_j c4 p c5 verdict c6, with the pieces
+        # joined ahead of time per family member and per verdict: six parts per row
+        family = report.family
+        sample = _certificate(family[0], family[0], report.curvature_classes).to_dict(args.quote_provenance)
+        sample.update(k0=_MARK, k1=_MARK, metric_labels=[f"GZ({_MARK})"] * 2, p1sq_X=f"{_MARK}/1", verdict=_MARK)
+        c0, c1, c2, c3, c4, c5, c6 = _row_pieces(sample)
+        ks = [str(b.pont) for b in family]
+        heads = [f"{c0}{k}{c1}" for k in ks]
+        seconds = [f"{k}{c2}" for k in ks]
+        first_labels = [f"{k}{c3}" for k in ks]
+        second_labels = [f"{k}{c4}" for k in ks]
+        tails = {v: f'{c5}"{v}"{c6}' for v in (DISTINCT_COMPONENTS, INCONCLUSIVE)}
+        _print_rows(report.to_dict(args.quote_provenance), "certificates", (
+            f"{heads[i]}{seconds[j]}{first_labels[i]}{second_labels[j]}{p}{tails[v]}" for i, j, p, v in rows
+        ))
     return 0 if report.certified else 3
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
     fmt = _resolve_format(args, tsv_ok=True)
-    # a class per valid k among the first min(window, 112n) integers for n > 1, counted by floor
-    # arithmetic (len() of a range overflows); <= 0 for the n and windows that census rejects
-    end = min(args.k_to + 1, args.k_from + 112 * args.n)
-    classes = (end - 1 - args.n) // 2 - (args.k_from - 1 - args.n) // 2
+    # a class per first member for n > 1, counted from start and stop (len() of a range
+    # overflows); <= 0 for the n and windows that census rejects
+    firsts = _census_firsts(args.n, args.k_from, args.k_to)
+    classes = (firsts.stop - firsts.start + 1) // 2
     if classes > MAX_CENSUS_CLASSES:
         raise ValueError(f"census of {classes} classes exceeds the limit of {MAX_CENSUS_CLASSES}")
     # each class prints its representative, its member count (at most the window
@@ -249,7 +248,14 @@ def _cmd_census(args: argparse.Namespace) -> int:
             mu = str(c.mu) if c.mu is not None else "-"
             print(f"  k={c.representative}: {c.members_count} members, mu={mu}")
     else:
-        _emit_json(report.to_dict())
+        head = CensusReport(report.n, report.k_from, report.k_to, report.unoriented, report.skipped, (),
+                            report.unknown_pairs_count)
+        c0, c1, c2, c3 = _row_pieces(dict.fromkeys(("members_count", "mu", "representative"), _MARK))
+        quote = '"{}"'.format
+        _print_rows(head.to_dict(), "classes", (
+            f"{c0}{c.members_count}{c1}{'null' if c.mu is None else quote(c.mu)}{c2}{c.representative}{c3}"
+            for c in report.classes
+        ))
     return 0
 
 
@@ -273,19 +279,15 @@ def _cmd_family(args: argparse.Namespace) -> int:
     _check_output_size(args.count, {"json": 42, "tsv": 2, "pretty": 1}[fmt], args.n, k)
     members = gz_family(make_bundle(args.n, args.l), args.count)
     if fmt == "tsv":
-        lines = ["euler\tk"] + [f"{b.euler}\t{b.pont}" for b in members]
-        print("\n".join(lines))
+        print("euler\tk")
+        sys.stdout.writelines(f"{b.euler}\t{b.pont}\n" for b in members)
     elif fmt == "pretty":
-        print(" ".join(str(b.pont) for b in members))
+        sys.stdout.writelines(f"{b.pont} " for b in members[:-1])
+        print(members[-1].pont)
     else:
-        _emit_json(
-            {
-                "n": args.n,
-                "l": args.l,
-                "step": 112 * args.n,
-                "members": [b.to_dict() for b in members],
-            }
-        )
+        c0, c1 = _row_pieces({**members[0].to_dict(), "k": _MARK})
+        payload = {"n": args.n, "l": args.l, "step": 112 * args.n}
+        _print_rows(payload, "members", (f"{c0}{b.pont}{c1}" for b in members))
     return 0
 
 

@@ -522,8 +522,14 @@ class TestComponentsRenderer:
         argv += [] if scal else ["--no-scal"]
         assert capture_main(argv) == components_pretty_reference(n, l, pairs, quote, scal)
 
-    @pytest.mark.parametrize("fmt", ["json", "pretty"])
-    def test_rows_are_written_as_they_are_rendered(self, fmt):
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["components", "--n", "1", "--l", "3", "--pairs", "40", "--format", "json"], id="json"),
+        pytest.param(["components", "--n", "1", "--l", "3", "--pairs", "40", "--format", "pretty"], id="pretty"),
+        pytest.param(["census", "--n", "1786", "--from", "1", "--to", "4000"], id="census-json"),
+        *(pytest.param(["family", "--n", "1", "--l", "3", "--count", "2000", "--format", fmt], id=f"family-{fmt}")
+          for fmt in ("json", "pretty", "tsv")),
+    ])
+    def test_rows_are_written_as_they_are_rendered(self, argv):
         # no single write carries more than a sliver of the report, so it is never held whole
         writes = []
 
@@ -533,7 +539,7 @@ class TestComponentsRenderer:
                 return super().write(text)
 
         with contextlib.redirect_stdout(Recorder()):
-            assert main(["components", "--n", "1", "--l", "3", "--pairs", "40", "--format", fmt]) == 0
+            assert main(argv) == 0
         assert max(writes) * 50 < sum(writes)
 
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
@@ -554,6 +560,60 @@ class TestComponentsRenderer:
         built.clear()
         infinite_components_report(make_bundle(1, 3), 30)
         assert len(built) == 30 * 31 // 2
+
+
+@st.composite
+def census_inputs(draw):
+    n = draw(st.sampled_from((1, 2, 3, 7, 1786)))
+    k_from = draw(st.one_of(st.integers(min_value=-500, max_value=500),
+                            st.integers(min_value=-10**60, max_value=10**60)))
+    return n, k_from, k_from + draw(st.integers(min_value=0, max_value=1500))
+
+
+@st.composite
+def family_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    l = draw(st.one_of(st.integers(min_value=-10**4, max_value=10**4),
+                       st.integers(min_value=-10**300, max_value=10**300)))
+    return n, l + (l - n) % 2, draw(st.integers(min_value=1, max_value=40))
+
+
+class TestListRenderers:
+    """census and family, printed row by row, against json.dumps of the library
+    report and the joined text that the CLI printed before it streamed."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(census_inputs(), st.booleans())
+    @example((1, 2, 2), False)  # no class: one even k
+    @example((2, 3, 3), True)  # no class: one odd k
+    @example((1, -10**59 - 1, 10**59 + 1), True)
+    @example((7, 10**60 - 1, 10**60 + 700), False)
+    @example((1786, 1, 1500), False)
+    def test_census_json_matches_reference(self, inputs, unoriented):
+        n, k_from, k_to = inputs
+        argv = ["census", "--n", str(n), "--from", str(k_from), "--to", str(k_to)]
+        code, out = capture_main(argv + (["--unoriented"] if unoriented else []))
+        report = census(n, k_from, k_to, unoriented=unoriented)
+        assert (code, out) == (0, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(family_inputs(), st.sampled_from(("json", "pretty", "tsv")))
+    @example((1, 1, 1), "json")
+    @example((2, -10**299 - 2, 40), "json")  # 300 digits, negative
+    @example((3, 10**299 + 1, 40), "pretty")  # 300 digits, positive
+    @example((5, -3, 7), "tsv")
+    def test_family_matches_reference(self, inputs, fmt):
+        n, l, count = inputs
+        code, out = capture_main(["family", "--n", str(n), "--l", str(l), "--count", str(count), "--format", fmt])
+        members = classify.gz_family(make_bundle(n, l), count)
+        if fmt == "json":
+            payload = {"n": n, "l": l, "step": 112 * n, "members": [b.to_dict() for b in members]}
+            expected = json.dumps(payload, indent=2, sort_keys=True)
+        elif fmt == "pretty":
+            expected = " ".join(str(b.pont) for b in members)
+        else:
+            expected = "\n".join(["euler\tk"] + [f"{b.euler}\t{b.pont}" for b in members])
+        assert (code, out) == (0, expected + "\n")
 
 
 class TestClosedPipe:
