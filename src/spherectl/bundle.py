@@ -63,6 +63,4 @@ def from_milnor_params(m: int, n: int) -> BundleClass:
 
     The parity constraint holds automatically: n + 2m == n (mod 2).
     """
-    if n == 0:
-        raise InvalidBundleError("Euler class must be non-trivial")
     return BundleClass(euler=n, pont=n + 2 * m)

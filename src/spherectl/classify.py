@@ -115,6 +115,16 @@ def unoriented_diffeomorphic(b1: BundleClass, b2: BundleClass) -> DiffeoVerdict:
     return _decide(_UNORIENTED, b1, b2)
 
 
+def _family_ks(b: BundleClass, count: int) -> range:
+    """The k of the members of gz_family(b, count), as a range of O(1) size."""
+    if b.euler <= 0:
+        raise ValueError("family enumeration requires euler > 0")
+    if count < 1:
+        raise ValueError("family length must be positive")
+    step = 112 * b.euler
+    return range(b.pont, b.pont + count * step, step)
+
+
 def gz_family(b: BundleClass, count: int) -> list[BundleClass]:
     """The arithmetic family k, k + 112n, k + 2*112n, ... of length count.
 
@@ -123,12 +133,7 @@ def gz_family(b: BundleClass, count: int) -> list[BundleClass]:
     is exactly the sufficient congruence.  The step is even, so parity is
     preserved and every member is a valid bundle.
     """
-    if b.euler <= 0:
-        raise ValueError("family enumeration requires euler > 0")
-    if count < 1:
-        raise ValueError("family length must be positive")
-    step = 112 * b.euler
-    return [BundleClass(b.euler, b.pont + j * step) for j in range(count)]
+    return [BundleClass(b.euler, k) for k in _family_ks(b, count)]
 
 
 class Theta7Element(_Value):
@@ -257,29 +262,31 @@ def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusRe
     r == n (mod 2) that occurs in the window is visited once, at its first
     member (_census_firsts).  The members of a residue form
     range(first, k_to + 1, 112n), counted by floor arithmetic, and for n = 1
-    mu_invariant is evaluated once per residue, at most 56 times.
+    mu_invariant is evaluated once per residue, at most 56 times.  The
+    valid, skipped and unknown counts are closed forms in the window bounds.
     """
     if n <= 0:
         raise ValueError("census requires n > 0")
     if k_to < k_from:
         raise ValueError(f"census window [{k_from}, {k_to}] is empty: requires k_from <= k_to")
-    step = 112 * n
-    mu_key = (_UNORIENTED if unoriented else _ORIENTED)[0][1]  # the key of the |n| = 1 rule
-    groups: dict[object, list[range]] = {}
-    for first in _census_firsts(n, k_from, k_to):
-        key = mu_key(BundleClass(1, first)) if n == 1 else first
-        groups.setdefault(key, []).append(range(first, k_to + 1, step))
-    # the first members ascend, so the groups come in the order of their representatives
-    classes = tuple(
-        CensusClass(ranges[0].start, tuple(ranges), key if n == 1 else None) for key, ranges in groups.items()
-    )
-    valid = sum(c.members_count for c in classes)
+    firsts, stop = _census_firsts(n, k_from, k_to), k_to + 1
+    if n == 1:
+        mu_key = (_UNORIENTED if unoriented else _ORIENTED)[0][1]  # the key of the |n| = 1 rule
+        groups: dict[QmodZ, list[range]] = {}
+        for first in firsts:
+            groups.setdefault(mu_key(BundleClass(1, first)), []).append(range(first, stop, 112))
+        # the first members ascend, so the groups come in the order of their representatives
+        classes = tuple(CensusClass(ranges[0].start, tuple(ranges), key) for key, ranges in groups.items())
+    else:
+        step = 112 * n
+        classes = tuple(CensusClass(first, (range(first, stop, step),), None) for first in firsts)
+    # the k == n (mod 2) in the window: they step by 2, so the p-th is in the class of firsts[p % 56n]
+    valid = (k_to - n) // 2 - (k_from - 1 - n) // 2
     skipped = (k_to - k_from + 1) - valid
-
-    # pairs in different classes are No for n = 1, where mu is complete, else Unknown
-    within = sum(c.members_count * (c.members_count - 1) // 2 for c in classes)
-    unknown_pairs = 0 if n == 1 else valid * (valid - 1) // 2 - within
-
+    # pairs in different classes are No for n = 1, where mu is complete, else Unknown;
+    # for n > 1 the classes are the residues, s of them with q + 1 members and the rest q
+    q, s = divmod(valid, 56 * n)
+    unknown = 0 if n == 1 else valid * (valid - 1) // 2 - s * q * (q + 1) // 2 - (56 * n - s) * q * (q - 1) // 2
     return CensusReport(
         n=n,
         k_from=k_from,
@@ -287,5 +294,5 @@ def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusRe
         unoriented=unoriented,
         skipped=skipped,
         classes=classes,
-        unknown_pairs_count=unknown_pairs,
+        unknown_pairs_count=unknown,
     )

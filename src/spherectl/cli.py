@@ -21,18 +21,12 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable
 
 from .bundle import InvalidBundleError, NEGATIVE, POSITIVE, make_bundle
-from .classify import NO, UNKNOWN, YES, CensusReport, _census_firsts, census, gz_family
+from .classify import NO, UNKNOWN, YES, CensusReport, _census_firsts, _family_ks, census
 from .classify import oriented_diffeomorphic, unoriented_diffeomorphic
-from .moduli import (
-    DISTINCT_COMPONENTS,
-    INCONCLUSIVE,
-    _certificate,
-    _components_rows,
-    separation_certificate,
-)
+from .moduli import DISTINCT_COMPONENTS, INCONCLUSIVE, _components_rows, separation_certificate
 from .space import dossier, realized_mu_set, realized_mu_set_unoriented
 
 FORMATS = ("json", "tsv", "pretty")
@@ -77,10 +71,6 @@ def _resolve_format(args: argparse.Namespace, tsv_ok: bool = False) -> str:
     if fmt == "tsv" and not tsv_ok:
         raise ValueError("tsv output is available for census and family reports only")
     return fmt
-
-
-def _emit_json(payload: object) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
@@ -144,7 +134,7 @@ _MARK = "\x00"
 
 def _row_pieces(sample: dict) -> list[str]:
     """The text of sample as an item of a top-level list, led by a comma and a
-    newline and cut at each _MARK (see _print_rows).  A field that is _MARK alone
+    newline and cut at each _MARK (see _emit_json).  A field that is _MARK alone
     loses its quotes, so a row gives it as JSON text (an int, null or a quoted
     string); a _MARK inside a longer string keeps the quotes of that string.
     Row values must need no JSON escapes.
@@ -154,9 +144,10 @@ def _row_pieces(sample: dict) -> list[str]:
     return text.replace(f'"{slot}"', slot).split(slot)
 
 
-def _print_rows(payload: dict, key: str, rows: Iterator[str]) -> None:
-    """Print json.dumps(payload, indent=2, sort_keys=True) with the list at the
-    top-level key written row by row, so the report is never held in memory whole.
+def _emit_json(payload: dict, key: str | None = None, rows: Iterable[str] = ()) -> None:
+    """Print json.dumps(payload, indent=2, sort_keys=True), the one JSON writer of
+    every report.  Given a top-level key, the list at that key is written row by
+    row from rows, so the report is never held in memory whole.
 
     The payload is dumped with payload[key] = [] and cut at '"key": []' into a
     head and a tail, written before and after the rows; with no rows it prints
@@ -169,12 +160,14 @@ def _print_rows(payload: dict, key: str, rows: Iterator[str]) -> None:
     item reads c0 v0 c1 v1 ... for its varying values in key order, so a row is
     one f-string and no template is parsed per row.
     """
-    head, tail = json.dumps({**payload, key: []}, indent=2, sort_keys=True).split(f'"{key}": []', 1)
+    text = json.dumps(payload if key is None else {**payload, key: []}, indent=2, sort_keys=True)
+    rows = iter(rows)
     first = next(rows, None)
     out = sys.stdout
     if first is None:
-        out.write(f'{head}"{key}": []{tail}\n')
+        out.write(f"{text}\n")
         return
+    head, tail = text.split(f'"{key}": []', 1)
     out.write(f'{head}"{key}": [{first[1:]}')
     out.writelines(rows)
     out.write(f"\n  ]{tail}\n")
@@ -195,29 +188,27 @@ def _cmd_components(args: argparse.Namespace) -> int:
     else:
         _check_output_size(items, 1770 if args.quote_provenance else 460, args.n, k, k, k, k, 896 * pairs * k)
     report, rows = _components_rows(b, args.pairs, include_scal=args.scal)
+    ks = [str(m.pont) for m in report.family]
     if fmt == "pretty":
         if report.banner:
             print(report.banner, f"curvature: {' '.join(report.curvature_classes)}", sep="\n")
         else:
             print("verdict withheld" if report.certified is None else "certification failed")
-        ks = [str(m.pont) for m in report.family]
         print(f"family: {' '.join(ks)}")
         sys.stdout.writelines(f"  k0={ks[i]} k1={ks[j]}: {v} (p1sq_X = {p}/1)\n" for i, j, p, v in rows)
         print(report.note)
     else:
         # a certificate reads c0 k_i c1 k_j c2 k_i c3 k_j c4 p c5 verdict c6, with the pieces
         # joined ahead of time per family member and per verdict: six parts per row
-        family = report.family
-        sample = _certificate(family[0], family[0], report.curvature_classes).to_dict(args.quote_provenance)
+        sample = separation_certificate(b, b, args.scal).to_dict(args.quote_provenance)
         sample.update(k0=_MARK, k1=_MARK, metric_labels=[f"GZ({_MARK})"] * 2, p1sq_X=f"{_MARK}/1", verdict=_MARK)
         c0, c1, c2, c3, c4, c5, c6 = _row_pieces(sample)
-        ks = [str(b.pont) for b in family]
         heads = [f"{c0}{k}{c1}" for k in ks]
         seconds = [f"{k}{c2}" for k in ks]
         first_labels = [f"{k}{c3}" for k in ks]
         second_labels = [f"{k}{c4}" for k in ks]
         tails = {v: f'{c5}"{v}"{c6}' for v in (DISTINCT_COMPONENTS, INCONCLUSIVE)}
-        _print_rows(report.to_dict(args.quote_provenance), "certificates", (
+        _emit_json(report.to_dict(args.quote_provenance), "certificates", (
             f"{heads[i]}{seconds[j]}{first_labels[i]}{second_labels[j]}{p}{tails[v]}" for i, j, p, v in rows
         ))
     return 0 if report.certified else 3
@@ -252,7 +243,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
                             report.unknown_pairs_count)
         c0, c1, c2, c3 = _row_pieces(dict.fromkeys(("members_count", "mu", "representative"), _MARK))
         quote = '"{}"'.format
-        _print_rows(head.to_dict(), "classes", (
+        _emit_json(head.to_dict(), "classes", (
             f"{c0}{c.members_count}{c1}{'null' if c.mu is None else quote(c.mu)}{c2}{c.representative}{c3}"
             for c in report.classes
         ))
@@ -277,17 +268,17 @@ def _cmd_family(args: argparse.Namespace) -> int:
     # each member prints n (not in pretty output) and k in 42, 2 or 1 bytes of fixed text
     k = max(abs(args.l), abs(args.l + 112 * args.n * (args.count - 1)))
     _check_output_size(args.count, {"json": 42, "tsv": 2, "pretty": 1}[fmt], args.n, k)
-    members = gz_family(make_bundle(args.n, args.l), args.count)
+    base = make_bundle(args.n, args.l)
+    ks = _family_ks(base, args.count)
     if fmt == "tsv":
         print("euler\tk")
-        sys.stdout.writelines(f"{b.euler}\t{b.pont}\n" for b in members)
+        sys.stdout.writelines(f"{args.n}\t{k}\n" for k in ks)
     elif fmt == "pretty":
-        sys.stdout.writelines(f"{b.pont} " for b in members[:-1])
-        print(members[-1].pont)
+        sys.stdout.writelines(f"{k} " for k in ks[:-1])
+        print(ks[-1])
     else:
-        c0, c1 = _row_pieces({**members[0].to_dict(), "k": _MARK})
-        payload = {"n": args.n, "l": args.l, "step": 112 * args.n}
-        _print_rows(payload, "members", (f"{c0}{b.pont}{c1}" for b in members))
+        c0, c1 = _row_pieces({**base.to_dict(), "k": _MARK})
+        _emit_json({"n": args.n, "l": args.l, "step": ks.step}, "members", (f"{c0}{k}{c1}" for k in ks))
     return 0
 
 

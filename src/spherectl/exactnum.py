@@ -98,15 +98,6 @@ class Rational(_Value):
     def __neg__(self) -> Rational:
         return Rational(-self.num, self.den)
 
-    # field-by-field, which is faster than the generic field-tuple comparison
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
     def __lt__(self, other: Rational) -> bool:
         # denominators are positive, so cross-multiplication preserves order
         return self.num * other.den < other.num * self.den

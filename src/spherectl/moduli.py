@@ -199,13 +199,6 @@ def separation_certificate(
         raise ValueError("gluing requires equal Euler coefficients")
     if b0.euler <= 0:
         raise ValueError("separation requires euler > 0")
-    return _certificate(b0, b1, _CURVATURE_CLASSES[bool(include_scal)])
-
-
-def _certificate(
-    b0: BundleClass, b1: BundleClass, curvature_classes: tuple[str, ...]
-) -> SeparationCertificate:
-    """The certificate for a pair already known to share one Euler coefficient n > 0."""
     n = b0.euler
     # p1^2[W_k0] - p1^2[W_k1] = 4*k0^2/n - 4*k1^2/n, canonicalized once
     p1sq_x = Rational(4 * (b0.pont * b0.pont - b1.pont * b1.pont), n)
@@ -217,7 +210,7 @@ def _certificate(
         # A-hat(X) = sign(X) = 0 force p1^2[X] = 0 (deduce_p1sq_zero): a nonzero value separates
         verdict=DISTINCT_COMPONENTS if p1sq_x.num else INCONCLUSIVE,
         contradiction_value=p1sq_x,
-        curvature_classes=curvature_classes,
+        curvature_classes=_CURVATURE_CLASSES[bool(include_scal)],
         derivation_note=None if n == 1 else GENERAL_N_DERIVATION,
     )
 
@@ -303,7 +296,6 @@ def _components_rows(
         raise ValueError("pairs must be nonnegative")
     n, l = b.euler, b.pont
     family = tuple(gz_family(b, pairs + 1))
-    tags = _CURVATURE_CLASSES[bool(include_scal)]
     # some members have opposite parameters, k_i = -k_j with i + j = -l/(56n) >= 1
     opposite = l < 0 and l % (56 * n) == 0
     if pairs == 0:
@@ -313,7 +305,7 @@ def _components_rows(
     certificates = ()
     if with_certificates:
         certificates = tuple(
-            _certificate(family[i], family[j], tags)
+            separation_certificate(family[i], family[j], include_scal)
             for i in range(pairs + 1)
             for j in range(i + 1, pairs + 1)
         )
@@ -324,7 +316,7 @@ def _components_rows(
         certificates=certificates,
         certified=certified,
         banner=BANNER if certified else None,
-        curvature_classes=tags,
+        curvature_classes=_CURVATURE_CLASSES[bool(include_scal)],
         note=(INFINITUDE_NOTE if l > 0
               else INFINITUDE_NOTE_OPPOSITE if opposite else INFINITUDE_NOTE_NONPOSITIVE),
     )

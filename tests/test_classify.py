@@ -370,6 +370,19 @@ class TestCensusClosedForm:
     @example(n=2, k_from=1, length=1, unoriented=True)
     @example(n=1, k_from=-60, length=111, unoriented=True)  # straddles 0
     @example(n=7, k_from=-784, length=1569, unoriented=False)
+    # windows straddling 0 whose valid count is 56n*q - 1, 56n*q and 56n*q + 1
+    @example(n=2, k_from=-100, length=221, unoriented=False)
+    @example(n=2, k_from=-100, length=223, unoriented=True)
+    @example(n=2, k_from=-100, length=225, unoriented=False)
+    @example(n=3, k_from=-301, length=669, unoriented=True)
+    @example(n=3, k_from=-301, length=671, unoriented=False)
+    @example(n=3, k_from=-301, length=673, unoriented=True)
+    @example(n=5, k_from=-6, length=558, unoriented=False)
+    @example(n=5, k_from=-6, length=560, unoriented=True)
+    @example(n=5, k_from=-6, length=562, unoriented=False)
+    @example(n=7, k_from=-400, length=1566, unoriented=True)
+    @example(n=7, k_from=-400, length=1568, unoriented=False)
+    @example(n=7, k_from=-400, length=1570, unoriented=True)
     # windows shorter than 112n: only the window's own k are visited
     @example(n=10**5, k_from=1, length=3, unoriented=False)
     @example(n=10**5, k_from=112 * 10**5 - 30, length=61, unoriented=True)  # straddles a step

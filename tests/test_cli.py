@@ -233,6 +233,29 @@ class TestOutputContract:
 
         assert no_floats(json.loads(out))
 
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "--n", "1", "--k", "3"],
+        ["classify", "--n1", "1", "--k1", "3", "--n2", "1", "--k2", "115"],
+        ["certify", "--n", "1", "--k0", "1", "--k1", "113"],
+        ["components", "--n", "1", "--l", "3", "--pairs", "3"],
+        ["census", "--n", "3", "--from", "1", "--to", "337"],
+        ["realized-mu"],
+        ["family", "--n", "1", "--l", "3", "--count", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_every_json_report_prints_through_one_writer(self, capsys, monkeypatch, argv):
+        calls = []
+        emit = cli._emit_json
+
+        def counting_emit(*args, **kwargs):
+            calls.append(args)
+            emit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_emit_json", counting_emit)
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert len(calls) == 1
+        json.loads(out)
+
     def test_env_var_overrides_format(self, capsys, monkeypatch):
         monkeypatch.setenv("SPHERECTL_FORMAT", "pretty")
         code, out, _ = run(capsys, "realized-mu")
@@ -775,7 +798,7 @@ class TestWorkLimits:
         assert expected in err.getvalue()
 
     @pytest.mark.parametrize("command, worker", [
-        ("components", "_components_rows"), ("family", "gz_family"), ("census", "census"),
+        ("components", "_components_rows"), ("family", "_family_ks"), ("census", "census"),
     ])
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
     def test_output_limit_refused_before_any_work(self, monkeypatch, command, worker, fmt):
