@@ -10,12 +10,15 @@ never upgraded to "No".
 Each decider is one ordered table of rules (spheres_only, key, if_equal,
 if_differ) read by _decide after the cohomology obstruction: the first rule in
 scope whose outcome for key(b1) == key(b2) (key None: equal) is not None
-decides, else Unknown.  census keys homotopy spheres by the first rule's key.
+decides, else Unknown.  The census (_census_rows, which census and the CLI
+share) keys homotopy spheres by (k^2 - 1) mod 224, folded when unoriented; the
+tests check on every pair of residues that it is equal exactly when mu is.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable
 
 from .bundle import BundleClass
 from .exactnum import QmodZ, Residue, _Value
@@ -206,16 +209,8 @@ class CensusReport(_Value):
 
     __slots__ = ("n", "k_from", "k_to", "unoriented", "skipped", "classes", "unknown_pairs_count")
 
-    def __init__(
-        self,
-        n: int,
-        k_from: int,
-        k_to: int,
-        unoriented: bool,
-        skipped: int,
-        classes: tuple[CensusClass, ...],
-        unknown_pairs_count: int,
-    ) -> None:
+    def __init__(self, n: int, k_from: int, k_to: int, unoriented: bool, skipped: int,
+                 classes: tuple[CensusClass, ...], unknown_pairs_count: int) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k_from", k_from)
         object.__setattr__(self, "k_to", k_to)
@@ -249,6 +244,40 @@ def _census_firsts(n: int, k_from: int, k_to: int) -> range:
     return range(k_from + (n - k_from) % 2, min(k_to + 1, k_from + 112 * n), 2)
 
 
+def _census_rows(
+    n: int, k_from: int, k_to: int, unoriented: bool = False
+) -> tuple[CensusReport, Iterable[tuple[tuple[int, ...], QmodZ | None]]]:
+    """The census report with classes=(), and its classes as rows (firsts, mu) in
+    the order of their representatives firsts[0]; census states the cost model.
+
+    firsts holds the first member f of each residue mod 112n in the class, whose
+    members are range(f, k_to + 1, 112n); mu is the class's mu for n = 1, else
+    None.  For n > 1 each residue is a class and the rows are a generator.  For
+    n = 1 the residues are grouped by x = (k^2 - 1) mod 224, since mu = x/224 mod 1,
+    folded to min(x, -x mod 224) as fold_orientation keeps the smaller value.
+    """
+    if n <= 0:
+        raise ValueError("census requires n > 0")
+    if k_to < k_from:
+        raise ValueError(f"census window [{k_from}, {k_to}] is empty: requires k_from <= k_to")
+    # the k == n (mod 2) in the window: they step by 2, so the p-th is in the class of firsts[p % 56n]
+    valid = (k_to - n) // 2 - (k_from - 1 - n) // 2
+    # pairs in different classes are No for n = 1, where mu is complete, else Unknown;
+    # for n > 1 the classes are the residues, s of them with q + 1 members and the rest q
+    q, s = divmod(valid, 56 * n)
+    unknown = 0 if n == 1 else valid * (valid - 1) // 2 - s * q * (q + 1) // 2 - (56 * n - s) * q * (q - 1) // 2
+    head = CensusReport(n, k_from, k_to, unoriented, (k_to - k_from + 1) - valid, (), unknown)
+    firsts = _census_firsts(n, k_from, k_to)
+    if n > 1:
+        return head, (((first,), None) for first in firsts)
+    groups: dict[int, list[int]] = {}
+    for first in firsts:
+        x = (first * first - 1) % 224
+        groups.setdefault(min(x, -x % 224) if unoriented else x, []).append(first)
+    # the first members ascend, so the groups come in the order of their representatives
+    return head, [(tuple(group), QmodZ(x, 224)) for x, group in groups.items()]
+
+
 def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusReport:
     """Partition all valid k in the closed interval [k_from, k_to] into classes.
 
@@ -257,42 +286,12 @@ def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusRe
     pair is left Unknown.  For n > 1 classes are keyed by k mod 112n; pairs in
     different classes carry no verdict and are reported as unknown.
 
-    Cost model: O(min(window length, 112n)).  Both keys depend only on
-    k mod 112n (mu(k) = (k^2 - 1)/224 mod 1 has period 112), so each residue
-    r == n (mod 2) that occurs in the window is visited once, at its first
-    member (_census_firsts).  The members of a residue form
-    range(first, k_to + 1, 112n), counted by floor arithmetic, and for n = 1
-    mu_invariant is evaluated once per residue, at most 56 times.  The
-    valid, skipped and unknown counts are closed forms in the window bounds.
+    Cost model: O(min(window length, 112n)).  Both keys depend only on k mod 112n
+    (mu has period 112), so _census_rows visits each residue r == n (mod 2) that
+    occurs in the window once, at its first member (_census_firsts), and builds
+    one QmodZ per class.  The counts are closed forms in the window bounds.
     """
-    if n <= 0:
-        raise ValueError("census requires n > 0")
-    if k_to < k_from:
-        raise ValueError(f"census window [{k_from}, {k_to}] is empty: requires k_from <= k_to")
-    firsts, stop = _census_firsts(n, k_from, k_to), k_to + 1
-    if n == 1:
-        mu_key = (_UNORIENTED if unoriented else _ORIENTED)[0][1]  # the key of the |n| = 1 rule
-        groups: dict[QmodZ, list[range]] = {}
-        for first in firsts:
-            groups.setdefault(mu_key(BundleClass(1, first)), []).append(range(first, stop, 112))
-        # the first members ascend, so the groups come in the order of their representatives
-        classes = tuple(CensusClass(ranges[0].start, tuple(ranges), key) for key, ranges in groups.items())
-    else:
-        step = 112 * n
-        classes = tuple(CensusClass(first, (range(first, stop, step),), None) for first in firsts)
-    # the k == n (mod 2) in the window: they step by 2, so the p-th is in the class of firsts[p % 56n]
-    valid = (k_to - n) // 2 - (k_from - 1 - n) // 2
-    skipped = (k_to - k_from + 1) - valid
-    # pairs in different classes are No for n = 1, where mu is complete, else Unknown;
-    # for n > 1 the classes are the residues, s of them with q + 1 members and the rest q
-    q, s = divmod(valid, 56 * n)
-    unknown = 0 if n == 1 else valid * (valid - 1) // 2 - s * q * (q + 1) // 2 - (56 * n - s) * q * (q - 1) // 2
-    return CensusReport(
-        n=n,
-        k_from=k_from,
-        k_to=k_to,
-        unoriented=unoriented,
-        skipped=skipped,
-        classes=classes,
-        unknown_pairs_count=unknown,
-    )
+    head, rows = _census_rows(n, k_from, k_to, unoriented)
+    step, stop = 112 * n, k_to + 1
+    classes = tuple(CensusClass(firsts[0], tuple(range(f, stop, step) for f in firsts), mu) for firsts, mu in rows)
+    return CensusReport(n, k_from, k_to, unoriented, head.skipped, classes, head.unknown_pairs_count)

@@ -24,7 +24,7 @@ import sys
 from collections.abc import Iterable
 
 from .bundle import InvalidBundleError, NEGATIVE, POSITIVE, make_bundle
-from .classify import NO, UNKNOWN, YES, CensusReport, _census_firsts, _family_ks, census
+from .classify import NO, UNKNOWN, YES, _census_firsts, _census_rows, _family_ks
 from .classify import oriented_diffeomorphic, unoriented_diffeomorphic
 from .moduli import DISTINCT_COMPONENTS, INCONCLUSIVE, _components_rows, separation_certificate
 from .space import dossier, realized_mu_set, realized_mu_set_unoriented
@@ -226,26 +226,24 @@ def _cmd_census(args: argparse.Namespace) -> int:
     # length) and mu in 86, 10 or 27 bytes of fixed text
     k = max(abs(args.k_from), abs(args.k_to))
     _check_output_size(classes, {"json": 86, "tsv": 10, "pretty": 27}[fmt], k, args.k_to - args.k_from + 1)
-    report = census(args.n, args.k_from, args.k_to, unoriented=args.unoriented)
+    head, rows = _census_rows(args.n, args.k_from, args.k_to, args.unoriented)
+    classes = len(rows) if args.n == 1 else classes
+    # (representative, members_count, mu) per row: a first f has the members range(f, k_to + 1, 112n)
+    step, k_to = 112 * args.n, args.k_to
+    cells = ((group[0], sum((k_to - f) // step + 1 for f in group), mu) for group, mu in rows)
+    out = sys.stdout
     if fmt == "tsv":
-        print(report.to_tsv())
+        out.write("representative\tmembers_count\tmu\n")
+        out.writelines(f"{r}\t{c}\t{'-' if mu is None else mu}\n" for r, c, mu in cells)
     elif fmt == "pretty":
-        print(
-            f"n={report.n} range=[{report.k_from}, {report.k_to}] "
-            f"classes={len(report.classes)} skipped={report.skipped} "
-            f"unknown_pairs={report.unknown_pairs_count}"
-        )
-        for c in report.classes:
-            mu = str(c.mu) if c.mu is not None else "-"
-            print(f"  k={c.representative}: {c.members_count} members, mu={mu}")
+        out.write(f"n={head.n} range=[{head.k_from}, {head.k_to}] classes={classes} skipped={head.skipped} "
+                  f"unknown_pairs={head.unknown_pairs_count}\n")
+        out.writelines(f"  k={r}: {c} members, mu={'-' if mu is None else mu}\n" for r, c, mu in cells)
     else:
-        head = CensusReport(report.n, report.k_from, report.k_to, report.unoriented, report.skipped, (),
-                            report.unknown_pairs_count)
         c0, c1, c2, c3 = _row_pieces(dict.fromkeys(("members_count", "mu", "representative"), _MARK))
         quote = '"{}"'.format
         _emit_json(head.to_dict(), "classes", (
-            f"{c0}{c.members_count}{c1}{'null' if c.mu is None else quote(c.mu)}{c2}{c.representative}{c3}"
-            for c in report.classes
+            f"{c0}{c}{c1}{'null' if mu is None else quote(mu)}{c2}{r}{c3}" for r, c, mu in cells
         ))
     return 0
 

@@ -440,3 +440,21 @@ class TestCensusClosedForm:
     def test_rejects_reversed_window(self):
         with pytest.raises(ValueError, match="k_from <= k_to"):
             census(1, 10, 1)
+
+    @pytest.mark.parametrize("unoriented", [False, True])
+    @pytest.mark.parametrize("k_from", [-111, 1, 10**20 + 2])
+    def test_integer_key_is_the_rule_key(self, k_from, unoriented):
+        # n = 1 census rows group the residues by an integer, not by mu; over all 56 x 56
+        # pairs of odd residues mod 112, two share a row exactly when the first rule of the
+        # decider gives them equal keys, and a row's mu is that key
+        rule_key = (classify._UNORIENTED if unoriented else classify._ORIENTED)[0][1]
+        _, rows = classify._census_rows(1, k_from, k_from + 111, unoriented)
+        row_of = {f % 112: i for i, (firsts, _) in enumerate(rows) for f in firsts}
+        key = {f % 112: rule_key(BundleClass(1, f)) for firsts, _ in rows for f in firsts}
+        assert sorted(row_of) == list(range(1, 112, 2))
+        for r1 in row_of:
+            for r2 in row_of:
+                assert (row_of[r1] == row_of[r2]) == (key[r1] == key[r2])
+        for firsts, mu in rows:
+            assert all(mu == key[f % 112] for f in firsts)
+        assert len(rows) == (11 if unoriented else 16)

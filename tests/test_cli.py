@@ -10,11 +10,12 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spherectl import classify, cli, moduli
+from spherectl import bundle, classify, cli, moduli
 from spherectl.bundle import make_bundle
 from spherectl.classify import census
 from spherectl.cli import main
 from spherectl.moduli import infinite_components_report
+from test_classify import census_reference
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -602,22 +603,61 @@ def family_inputs(draw):
 
 
 class TestListRenderers:
-    """census and family, printed row by row, against json.dumps of the library
-    report and the joined text that the CLI printed before it streamed."""
+    """census and family, printed row by row, against references that share no code
+    with the renderers: the window-walking census of test_classify and the library
+    family, as the CLI printed them before it streamed."""
 
     @settings(max_examples=100, deadline=None)
-    @given(census_inputs(), st.booleans())
-    @example((1, 2, 2), False)  # no class: one even k
-    @example((2, 3, 3), True)  # no class: one odd k
-    @example((1, -10**59 - 1, 10**59 + 1), True)
-    @example((7, 10**60 - 1, 10**60 + 700), False)
-    @example((1786, 1, 1500), False)
-    def test_census_json_matches_reference(self, inputs, unoriented):
+    @given(census_inputs(), st.booleans(), st.sampled_from(("json", "tsv", "pretty")))
+    @example((1, 2, 2), False, "json")  # no class: one even k
+    @example((1, 2, 2), True, "pretty")
+    @example((2, 3, 3), True, "tsv")  # no class: one odd k
+    @example((1, 5, 60), False, "pretty")  # n = 1 windows shorter than 112
+    @example((1, -41, 30), True, "tsv")
+    @example((1, 10**20 + 1, 10**20 + 100), True, "json")
+    @example((1, -10**59 - 1, 10**59 + 1), True, "json")
+    @example((7, 10**60 - 1, 10**60 + 700), False, "json")
+    @example((1786, 1, 1500), False, "json")
+    @example((1786, 1, 200_000), False, "pretty")  # the class limit, header line included
+    def test_census_json_matches_reference(self, inputs, unoriented, fmt):
         n, k_from, k_to = inputs
-        argv = ["census", "--n", str(n), "--from", str(k_from), "--to", str(k_to)]
+        argv = ["census", "--n", str(n), "--from", str(k_from), "--to", str(k_to), "--format", fmt]
         code, out = capture_main(argv + (["--unoriented"] if unoriented else []))
-        report = census(n, k_from, k_to, unoriented=unoriented)
-        assert (code, out) == (0, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        if k_to - k_from < 10**6:
+            payload, tsv, _ = census_reference(n, k_from, k_to, unoriented)
+        else:  # too long to walk: the library report, which the closed-form tests check
+            report = census(n, k_from, k_to, unoriented=unoriented)
+            payload, tsv = report.to_dict(), report.to_tsv()
+        if fmt == "json":
+            expected = json.dumps(payload, indent=2, sort_keys=True)
+        elif fmt == "tsv":
+            expected = tsv
+        else:
+            classes = payload["classes"]
+            expected = "\n".join(
+                [f"n={n} range=[{k_from}, {k_to}] classes={len(classes)} skipped={payload['skipped']} "
+                 f"unknown_pairs={payload['unknown_pairs_count']}"]
+                + [f"  k={c['representative']}: {c['members_count']} members, mu={c['mu'] or '-'}" for c in classes]
+            )
+        assert (code, out) == (0, expected + "\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
+    @pytest.mark.parametrize("n, k_from, k_to", [(1, -1000, 1000), (3, -1000, 1000)])
+    def test_cli_census_builds_no_class_or_bundle(self, monkeypatch, fmt, n, k_from, k_to):
+        built = {"CensusClass": 0, "BundleClass": 0}
+        for cls in (classify.CensusClass, bundle.BundleClass):
+            def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__):
+                built[_name] += 1
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        code, out = capture_main(["census", "--n", str(n), "--from", str(k_from), "--to", str(k_to), "--format", fmt])
+        assert code == 0 and out
+        assert built == {"CensusClass": 0, "BundleClass": 0}
+        # the library report builds one class object per class, and still no bundle
+        report = census(n, k_from, k_to)
+        assert built == {"CensusClass": len(report.classes), "BundleClass": 0}
+        assert len(report.classes) == (16 if n == 1 else 168)
 
     @settings(max_examples=100, deadline=None)
     @given(family_inputs(), st.sampled_from(("json", "pretty", "tsv")))
@@ -798,7 +838,7 @@ class TestWorkLimits:
         assert expected in err.getvalue()
 
     @pytest.mark.parametrize("command, worker", [
-        ("components", "_components_rows"), ("family", "_family_ks"), ("census", "census"),
+        ("components", "_components_rows"), ("family", "_family_ks"), ("census", "_census_rows"),
     ])
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
     def test_output_limit_refused_before_any_work(self, monkeypatch, command, worker, fmt):
