@@ -9,10 +9,9 @@ never upgraded to "No".
 
 Each decider is one ordered table of rules (spheres_only, key, if_equal,
 if_differ) read by _decide after the cohomology obstruction: the first rule in
-scope whose outcome for key(b1) == key(b2) (key None: equal) is not None
-decides, else Unknown.  The census (_census_rows, which census and the CLI
-share) keys homotopy spheres by (k^2 - 1) mod 224, folded when unoriented; the
-tests check on every pair of residues that it is equal exactly when mu is.
+scope whose outcome for key(b1) == key(b2) is not None decides, else Unknown.
+The sphere rules and the census (_census_rows, shared by census and the CLI)
+key homotopy spheres by the mu table of space, folded when unoriented.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from collections.abc import Iterable
 
 from .bundle import BundleClass
 from .exactnum import QmodZ, Residue, _Value
-from .space import fold_orientation, mu_invariant
+from .space import _MU_NUM, _MU_NUM_FOLDED
 
 YES = "Yes"
 NO = "No"
@@ -59,17 +58,16 @@ class DiffeoVerdict(_Value):
         return {"answer": self.answer, "reason": self.reason}
 
 
-# keys look mu_invariant up per call, so that a patched module global is seen
 _HOMEOMORPHIC = (
-    (True, None, (YES, TOPOLOGICAL_SPHERE), None),
+    (True, lambda b: 0, (YES, TOPOLOGICAL_SPHERE), None),
     (False, lambda b: b.pont % (2 * abs(b.euler)), (YES, CONGRUENCE_MOD_2N), None),
 )
 _ORIENTED = (
-    (True, lambda b: mu_invariant(b), (YES, MU_INVARIANT_EQUAL), (NO, MU_INVARIANT_DIFFER)),
+    (True, lambda b: _MU_NUM[b.pont % 112], (YES, MU_INVARIANT_EQUAL), (NO, MU_INVARIANT_DIFFER)),
     (False, lambda b: (b.euler, b.pont % (112 * abs(b.euler))), (YES, CONGRUENCE_MOD_112N), None),
 )
 _UNORIENTED = (
-    (True, lambda b: fold_orientation(mu_invariant(b)), (YES, MU_INVARIANT_EQUAL), (NO, MU_INVARIANT_DIFFER)),
+    (True, lambda b: _MU_NUM_FOLDED[b.pont % 112], (YES, MU_INVARIANT_EQUAL), (NO, MU_INVARIANT_DIFFER)),
     (False, lambda b: b.pont % (112 * abs(b.euler)), (YES, CONGRUENCE_MOD_112N), None),
 )
 
@@ -81,7 +79,7 @@ def _decide(rules: tuple, b1: BundleClass, b2: BundleClass) -> DiffeoVerdict:
     for spheres_only, key, if_equal, if_differ in rules:
         if spheres_only and n != 1:
             continue
-        outcome = if_equal if key is None or key(b1) == key(b2) else if_differ
+        outcome = if_equal if key(b1) == key(b2) else if_differ
         if outcome is not None:
             return DiffeoVerdict(*outcome)
     return DiffeoVerdict(UNKNOWN, OUTSIDE_KNOWN_CRITERIA)
@@ -253,8 +251,8 @@ def _census_rows(
     firsts holds the first member f of each residue mod 112n in the class, whose
     members are range(f, k_to + 1, 112n); mu is the class's mu for n = 1, else
     None.  For n > 1 each residue is a class and the rows are a generator.  For
-    n = 1 the residues are grouped by x = (k^2 - 1) mod 224, since mu = x/224 mod 1,
-    folded to min(x, -x mod 224) as fold_orientation keeps the smaller value.
+    n = 1 the residues are grouped by the numerator x of mu = x/224 mod 1, from the
+    table the sphere rules key on, and mu is built once per class.
     """
     if n <= 0:
         raise ValueError("census requires n > 0")
@@ -270,10 +268,10 @@ def _census_rows(
     firsts = _census_firsts(n, k_from, k_to)
     if n > 1:
         return head, (((first,), None) for first in firsts)
+    table = _MU_NUM_FOLDED if unoriented else _MU_NUM
     groups: dict[int, list[int]] = {}
     for first in firsts:
-        x = (first * first - 1) % 224
-        groups.setdefault(min(x, -x % 224) if unoriented else x, []).append(first)
+        groups.setdefault(table[first % 112], []).append(first)
     # the first members ascend, so the groups come in the order of their representatives
     return head, [(tuple(group), QmodZ(x, 224)) for x, group in groups.items()]
 
@@ -288,8 +286,8 @@ def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusRe
 
     Cost model: O(min(window length, 112n)).  Both keys depend only on k mod 112n
     (mu has period 112), so _census_rows visits each residue r == n (mod 2) that
-    occurs in the window once, at its first member (_census_firsts), and builds
-    one QmodZ per class.  The counts are closed forms in the window bounds.
+    occurs in the window once, at its first member (_census_firsts): one table
+    lookup for n = 1, one QmodZ per class, and closed-form counts.
     """
     head, rows = _census_rows(n, k_from, k_to, unoriented)
     step, stop = 112 * n, k_to + 1

@@ -264,16 +264,20 @@ def infinite_components_report(
     there is nothing to check and the verdict is withheld.
 
     Cost model: the report and its verdict come from _components_rows in
-    O(pairs), "certified" by its O(1) closed form.  The certificates are
-    pairs*(pairs+1)/2 objects, each one Rational built on native ints from
-    the general formula 4*(k0^2 - k1^2)/n and sharing the curvature tags.
-    The CLI does not build them: it renders the closed-form rows instead.
+    O(pairs), "certified" by its O(1) closed form.  The certificates are one
+    separation_certificate per (i, j) of its rows, pairs*(pairs+1)/2 objects,
+    each one Rational on native ints from the general formula 4*(k0^2 - k1^2)/n
+    and sharing the curvature tags.  The CLI renders the rows instead.
     """
-    return _components_rows(b, pairs, include_scal, with_certificates=True)[0]
+    head, rows = _components_rows(b, pairs, include_scal)
+    family = head.family
+    certificates = tuple(separation_certificate(family[i], family[j], include_scal) for i, j, _, _ in rows)
+    return ComponentsReport(head.base, pairs, family, certificates, head.certified, head.banner,
+                            head.curvature_classes, head.note)
 
 
 def _components_rows(
-    b: BundleClass, pairs: int, include_scal: bool = True, with_certificates: bool = False
+    b: BundleClass, pairs: int, include_scal: bool = True
 ) -> tuple[ComponentsReport, Iterator[tuple[int, int, int, str]]]:
     """The components report of the family of b, and its certificates as closed-form rows.
 
@@ -286,11 +290,10 @@ def _components_rows(
     with pairs >= 1 some pair fails exactly when l < 0, 56n | l and
     1 <= -l/(56n) <= 2*pairs - 1, and certified is decided in O(1).
 
-    The report's certificates are () unless with_certificates asks for the
-    certificate objects, built pair by pair from the general formula.  The
-    rows are (i, j, p, verdict), one per pair (i < j) in lexicographic order,
-    with p the numerator of p1sq_X.  Cost: O(pairs) objects, then one integer
-    product per row.
+    The report's certificates are (): the rows, the one enumeration of the pairs,
+    stand for them.  They are (i, j, p, verdict), one per pair (i < j) in
+    lexicographic order, with p the numerator of p1sq_X.  Cost: O(pairs)
+    objects, then one integer product per row.
     """
     if pairs < 0:
         raise ValueError("pairs must be nonnegative")
@@ -302,18 +305,11 @@ def _components_rows(
         certified: bool | None = None
     else:
         certified = not (opposite and -l // (56 * n) <= 2 * pairs - 1)
-    certificates = ()
-    if with_certificates:
-        certificates = tuple(
-            separation_certificate(family[i], family[j], include_scal)
-            for i in range(pairs + 1)
-            for j in range(i + 1, pairs + 1)
-        )
     report = ComponentsReport(
         base=b,
         pairs=pairs,
         family=family,
-        certificates=certificates,
+        certificates=(),
         certified=certified,
         banner=BANNER if certified else None,
         curvature_classes=_CURVATURE_CLASSES[bool(include_scal)],

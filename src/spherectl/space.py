@@ -81,6 +81,12 @@ def p1_squared_W(b: BundleClass) -> Rational:
     return Rational(4 * b.pont * b.pont, b.euler)
 
 
+# mu(k) = (k^2 - 1)/224 mod 1 has period 112 in k: the numerator of mu(k) is
+# _MU_NUM[k % 112], and that of mu(k) folded with -mu(k) is _MU_NUM_FOLDED[k % 112]
+_MU_NUM = tuple((r * r - 1) % 224 for r in range(112))
+_MU_NUM_FOLDED = tuple(min(x, -x % 224) for x in _MU_NUM)
+
+
 def mu_invariant(b: BundleClass, o: Orientation = POSITIVE) -> QmodZ:
     """Eells-Kuiper invariant of the total space, an element of Z/28Z in Q/Z.
 
@@ -89,15 +95,14 @@ def mu_invariant(b: BundleClass, o: Orientation = POSITIVE) -> QmodZ:
 
         mu = (p1^2[W] - 4*sign(W)) / (2^7 * 7)  mod Z,
 
-    with p1^2[W] = 4k^2 under that normalization.  Reversing the orientation
-    negates the class.
+    with p1^2[W] = 4k^2 under that normalization: mu = (k^2 - 1)/224 mod 1, of
+    period 112 in k (_MU_NUM).  Reversing the orientation negates the class.
     """
     if abs(b.euler) != 1:
         raise ValueError("mu-invariant is only defined for |euler| = 1")
     if b.pont % 2 == 0:
         raise ValueError("mu-invariant requires odd k")
-    # (4k^2 - 4*1) / 896 = (k^2 - 1) / 224, canonicalized once by QmodZ
-    return QmodZ(o.sign * (b.pont * b.pont - 1), 224)
+    return QmodZ(o.sign * _MU_NUM[b.pont % 112], 224)
 
 
 def fold_orientation(q: QmodZ) -> QmodZ:

@@ -28,6 +28,7 @@ from spherectl.classify import (
 )
 from spherectl.exactnum import QmodZ, qmodz_add
 from spherectl.space import fold_orientation, mu_invariant, realized_mu_set, realized_mu_set_unoriented
+from test_space import mu_index_formula
 
 # a small population covering homotopy spheres, torsion, negative euler
 SAMPLE = [
@@ -206,6 +207,25 @@ class TestDecidersMatchReference:
         ):
             assert decide(b1, b2) == reference(b1, b2)
             assert decide(b2, b1) == reference(b2, b1)
+
+    def test_deciders_build_no_qmodz(self, monkeypatch):
+        # the sphere rules key on the integer mu table of space, not on QmodZ values
+        built = []
+        init = QmodZ.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(QmodZ, "__init__", counting_init)
+        spheres = [make_bundle(n, k) for n in (1, -1) for k in (-5, 1, 3, 21, 115, 10**40 + 1)]
+        for decide in (homeomorphic, oriented_diffeomorphic, unoriented_diffeomorphic):
+            for b1 in spheres:
+                for b2 in spheres:
+                    decide(b1, b2)
+        assert built == []
+        mu_invariant(spheres[0])  # the wrapper does see a QmodZ being built
+        assert len(built) == 1
 
 
 class TestGzFamily:
@@ -398,17 +418,19 @@ class TestCensusClosedForm:
 
     @pytest.mark.parametrize("unoriented", [False, True])
     def test_cost_independent_of_window_length(self, monkeypatch, unoriented):
-        calls = []
+        lookups = []
 
-        def counting_mu(*args):
-            calls.append(args)
-            return mu_invariant(*args)
+        class CountingTable(tuple):
+            def __getitem__(self, index):
+                lookups.append(index)
+                return tuple.__getitem__(self, index)
 
-        monkeypatch.setattr(classify, "mu_invariant", counting_mu)
+        for name in ("_MU_NUM", "_MU_NUM_FOLDED"):
+            monkeypatch.setattr(classify, name, CountingTable(getattr(classify, name)))
         k_from = -123_456_789
         k_to = k_from + 10**12 - 1
         report = census(1, k_from, k_to, unoriented=unoriented)
-        assert len(calls) <= 56
+        assert 0 < len(lookups) <= 56
 
         # each odd residue r mod 112 has floor((k_to - r)/112) - floor((k_from - 1 - r)/112) members
         want: dict[QmodZ, int] = {}
@@ -444,17 +466,24 @@ class TestCensusClosedForm:
     @pytest.mark.parametrize("unoriented", [False, True])
     @pytest.mark.parametrize("k_from", [-111, 1, 10**20 + 2])
     def test_integer_key_is_the_rule_key(self, k_from, unoriented):
-        # n = 1 census rows group the residues by an integer, not by mu; over all 56 x 56
-        # pairs of odd residues mod 112, two share a row exactly when the first rule of the
-        # decider gives them equal keys, and a row's mu is that key
-        rule_key = (classify._UNORIENTED if unoriented else classify._ORIENTED)[0][1]
+        # n = 1 census rows group the residues by the integer mu table the deciders key on;
+        # over all 56 x 56 pairs of odd residues mod 112, two share a row exactly when their
+        # mu from the Rational index formula (folded when unoriented) are equal, which is
+        # when the decider says Yes, and a row's mu is that of its members
+        decide = unoriented_diffeomorphic if unoriented else oriented_diffeomorphic
         _, rows = classify._census_rows(1, k_from, k_from + 111, unoriented)
         row_of = {f % 112: i for i, (firsts, _) in enumerate(rows) for f in firsts}
-        key = {f % 112: rule_key(BundleClass(1, f)) for firsts, _ in rows for f in firsts}
+        ref = {}
+        for firsts, _ in rows:
+            for f in firsts:
+                mu = mu_index_formula(BundleClass(1, f))
+                ref[f % 112] = fold_orientation(mu) if unoriented else mu
         assert sorted(row_of) == list(range(1, 112, 2))
         for r1 in row_of:
             for r2 in row_of:
-                assert (row_of[r1] == row_of[r2]) == (key[r1] == key[r2])
+                assert (row_of[r1] == row_of[r2]) == (ref[r1] == ref[r2])
+                verdict = decide(BundleClass(1, r1), BundleClass(1, r2))
+                assert (row_of[r1] == row_of[r2]) == (verdict.answer == YES)
         for firsts, mu in rows:
-            assert all(mu == key[f % 112] for f in firsts)
+            assert all(mu == ref[f % 112] for f in firsts)
         assert len(rows) == (11 if unoriented else 16)
