@@ -12,8 +12,15 @@ refactor of `moduli` and `space`, from:
     `components_family` and `cli_cold` benchmark decks, stored as literal
     argv so that nothing here imports the benchmark.
 
-The file is a fixed reference: a change that alters any output fails this
-test, and the corpus is not to be regenerated to make it pass.
+tests/golden/cli_formats.jsonl holds entries of the same form, recorded the
+same way before the output format was resolved in one place: the pretty
+output of every command, SPHERECTL_FORMAT set to pretty, tsv and an unknown
+value, the refusals that exit 2 (TSV outside census and family, the output
+byte budget, the census class limit and the argument checks), the help
+screens the corpus lacks and two usage errors for an unknown --format.
+
+Both files are fixed references: a change that alters any output fails these
+tests, and neither file is to be regenerated to make them pass.
 """
 
 from __future__ import annotations
@@ -26,7 +33,9 @@ import pathlib
 
 from spherectl import cli
 
-CORPUS = pathlib.Path(__file__).parent / "golden" / "cli_corpus.jsonl"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+CORPUS = GOLDEN / "cli_corpus.jsonl"
+FORMATS = GOLDEN / "cli_formats.jsonl"
 
 
 def replay(entry: dict) -> dict:
@@ -44,11 +53,11 @@ def replay(entry: dict) -> dict:
     return got
 
 
-def test_corpus_replays_byte_for_byte(monkeypatch):
+def replay_all(path: pathlib.Path, monkeypatch) -> tuple[int, list]:
+    """Replay every entry of path; return the entry count and the mismatches."""
     # argparse wraps help and usage text to the terminal width
     monkeypatch.setenv("COLUMNS", "80")
-    entries = [json.loads(line) for line in CORPUS.read_text().splitlines()]
-    assert len(entries) > 900
+    entries = [json.loads(line) for line in path.read_text().splitlines()]
     mismatches = []
     for entry in entries:
         monkeypatch.delenv("SPHERECTL_FORMAT", raising=False)
@@ -58,4 +67,16 @@ def test_corpus_replays_byte_for_byte(monkeypatch):
         want = {key: entry[key] for key in got}
         if got != want:
             mismatches.append((entry["source"], entry["argv"][:8], want["exit"], got["exit"]))
+    return len(entries), mismatches
+
+
+def test_corpus_replays_byte_for_byte(monkeypatch):
+    count, mismatches = replay_all(CORPUS, monkeypatch)
+    assert count > 900
+    assert mismatches == []
+
+
+def test_format_pins_replay_byte_for_byte(monkeypatch):
+    count, mismatches = replay_all(FORMATS, monkeypatch)
+    assert count == 38
     assert mismatches == []
