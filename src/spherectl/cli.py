@@ -10,8 +10,9 @@ diagnostics to stderr.  Exit codes partition outcomes:
     3  Unknown / Inconclusive / verdict withheld
   141  stdout closed by its reader before all output was written (128 + SIGPIPE)
 
-The env var SPHERECTL_FORMAT overrides the default output format; TSV is
-available for census and family reports only.
+The output format is --format, else the env var SPHERECTL_FORMAT, else JSON;
+TSV is available for census and family reports only.  main resolves it once,
+before the command does any work, and passes it to the command.
 """
 
 from __future__ import annotations
@@ -64,17 +65,16 @@ def _check_output_size(items: int, item_bytes: int, *ints: int) -> None:
         raise ValueError(f"output of about {size} bytes exceeds the limit of {MAX_OUTPUT_BYTES} bytes")
 
 
-def _resolve_format(args: argparse.Namespace, tsv_ok: bool = False) -> str:
-    fmt = getattr(args, "format", None) or os.environ.get("SPHERECTL_FORMAT") or "json"
+def _resolve_format(args: argparse.Namespace) -> str:
+    fmt = args.format or os.environ.get("SPHERECTL_FORMAT") or "json"
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {', '.join(FORMATS)}")
-    if fmt == "tsv" and not tsv_ok:
+    if fmt == "tsv" and args.command not in ("census", "family"):
         raise ValueError("tsv output is available for census and family reports only")
     return fmt
 
 
-def _cmd_invariants(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args)
+def _cmd_invariants(args: argparse.Namespace, fmt: str) -> int:
     b = make_bundle(args.n, args.k)
     o = NEGATIVE if args.reverse_orientation else POSITIVE
     d = dossier(b, o)
@@ -92,8 +92,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args)
+def _cmd_classify(args: argparse.Namespace, fmt: str) -> int:
     b1 = make_bundle(args.n1, args.k1)
     b2 = make_bundle(args.n2, args.k2)
     decide = unoriented_diffeomorphic if args.unoriented else oriented_diffeomorphic
@@ -107,8 +106,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_CODES[verdict.answer]
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args)
+def _cmd_certify(args: argparse.Namespace, fmt: str) -> int:
     b0 = make_bundle(args.n, args.k0)
     b1 = make_bundle(args.n, args.k1)
     cert = separation_certificate(b0, b1, include_scal=args.scal)
@@ -173,8 +171,7 @@ def _emit_json(payload: dict, key: str | None = None, rows: Iterable[str] = ()) 
     out.write(f"\n  ]{tail}\n")
 
 
-def _cmd_components(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args)
+def _cmd_components(args: argparse.Namespace, fmt: str) -> int:
     _check_limit("--pairs", args.pairs, MAX_PAIRS)
     b = make_bundle(args.n, args.l)
     pairs = max(args.pairs, 0)
@@ -214,8 +211,7 @@ def _cmd_components(args: argparse.Namespace) -> int:
     return 0 if report.certified else 3
 
 
-def _cmd_census(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args, tsv_ok=True)
+def _cmd_census(args: argparse.Namespace, fmt: str) -> int:
     # a class per first member for n > 1, counted from start and stop (len() of a range
     # overflows); <= 0 for the n and windows that census rejects
     firsts = _census_firsts(args.n, args.k_from, args.k_to)
@@ -248,8 +244,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_realized_mu(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args)
+def _cmd_realized_mu(args: argparse.Namespace, fmt: str) -> int:
     values = realized_mu_set_unoriented() if args.unoriented else realized_mu_set()
     ordered = [str(q) for q in sorted(values)]
     if fmt == "pretty":
@@ -260,8 +255,7 @@ def _cmd_realized_mu(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_family(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args, tsv_ok=True)
+def _cmd_family(args: argparse.Namespace, fmt: str) -> int:
     _check_limit("--count", args.count, MAX_FAMILY_COUNT)
     # each member prints n (not in pretty output) and k in 42, 2 or 1 bytes of fixed text
     k = max(abs(args.l), abs(args.l + 112 * args.n * (args.count - 1)))
@@ -280,10 +274,6 @@ def _cmd_family(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_format_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=FORMATS, default=None, help="output format")
-
-
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no state."""
@@ -300,7 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="Euler coefficient (nonzero)")
     p.add_argument("--k", type=int, required=True, help="Pontryagin parameter (p1 = 2k*u)")
     p.add_argument("--reverse-orientation", action="store_true")
-    _add_format_option(p)
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("classify", help="Decide diffeomorphism of two total spaces.")
@@ -309,7 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--k2", type=int, required=True)
     p.add_argument("--unoriented", action="store_true", help="ignore orientations")
-    _add_format_option(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("certify", help="Separation certificate for a pair of bundles.")
@@ -319,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quote-provenance", action="store_true", help="append the proof-step transcript")
     p.add_argument("--scal", action=argparse.BooleanOptionalAction, default=True,
                    help="also tag the scal>0 moduli space")
-    _add_format_option(p)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("components", help="Pairwise certificates over an arithmetic family.")
@@ -329,7 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"certify every pair among the first PAIRS+1 members (at most {MAX_PAIRS})")
     p.add_argument("--quote-provenance", action="store_true")
     p.add_argument("--scal", action=argparse.BooleanOptionalAction, default=True)
-    _add_format_option(p)
     p.set_defaults(func=_cmd_components)
 
     p = sub.add_parser("census", help="Partition a parameter window into diffeomorphism classes.")
@@ -339,12 +325,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"last k of the window; a census lists at most {MAX_CENSUS_CLASSES} classes "
                    f"in at most {MAX_OUTPUT_BYTES} bytes")
     p.add_argument("--unoriented", action="store_true")
-    _add_format_option(p)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("realized-mu", help="All mu values attained by homotopy-sphere bundles.")
     p.add_argument("--unoriented", action="store_true")
-    _add_format_option(p)
     p.set_defaults(func=_cmd_realized_mu)
 
     p = sub.add_parser("family", help="Enumerate the arithmetic family k = l + 112n*j.")
@@ -352,9 +336,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--count", type=int, required=True,
                    help=f"number of members to list (at most {MAX_FAMILY_COUNT})")
-    _add_format_option(p)
     p.set_defaults(func=_cmd_family)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=FORMATS, help="output format")
     return parser
 
 
@@ -369,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         try:
-            code = args.func(args)
+            code = args.func(args, _resolve_format(args))
             sys.stdout.flush()
             return code
         except (InvalidBundleError, ValueError) as exc:

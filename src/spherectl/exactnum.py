@@ -76,8 +76,6 @@ class Rational(_Value):
         if g > 1:
             num //= g
             den //= g
-        if num == 0:
-            den = 1
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -133,23 +131,12 @@ class QmodZ(_Value):
         if g > 1:
             num //= g
             den //= g
-        if num == 0:
-            den = 1
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     @classmethod
     def from_rational(cls, r: Rational) -> QmodZ:
         return cls(r.num, r.den)
-
-    # field-by-field, which is faster than the generic field-tuple comparison
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def __lt__(self, other: QmodZ) -> bool:
         return self.num * other.den < other.num * self.den

@@ -104,17 +104,14 @@ def index_forms_dim8(p1sq: Rational, p2: Rational) -> tuple[Rational, Rational]:
 def deduce_p1sq_zero(ahat: Rational, sign: Rational) -> tuple[Rational, Rational]:
     """Recover (p1^2, p2) from (A-hat, sign) by inverting the index forms.
 
-    Solves the linear system {7*p2 - p1^2 = 45*sign, 7*p1^2 - 4*p2 = 5760*ahat}
-    by Cramer's rule; the determinant is -45 != 0, so the solution is unique
-    and (0, 0) forces (p1^2, p2) = (0, 0).
+    The linear system {7*p2 - p1^2 = 45*sign, 7*p1^2 - 4*p2 = 5760*ahat} has
+    determinant -45 != 0, so its solution is unique: p1^2 = 896*ahat + 4*sign
+    and p2 = 128*ahat + 7*sign.  In particular (0, 0) forces (p1^2, p2) = (0, 0).
     """
-    # rows: [-1  7 | 45*sign], [7 -4 | 5760*ahat]
-    a11, a12, b1 = Rational(-1), Rational(7), Rational(45) * sign
-    a21, a22, b2 = Rational(7), Rational(-4), Rational(5760) * ahat
-    det = a11 * a22 - a12 * a21
-    p1sq = (b1 * a22 - a12 * b2) / det
-    p2 = (a11 * b2 - b1 * a21) / det
-    return p1sq, p2
+    # ahat = a/den and sign = s/den over a common denominator
+    den = ahat.den * sign.den
+    a, s = ahat.num * sign.den, sign.num * ahat.den
+    return Rational(896 * a + 4 * s, den), Rational(128 * a + 7 * s, den)
 
 
 # The curvature tags of a certificate, indexed by include_scal and shared, never rebuilt.

@@ -268,10 +268,33 @@ class TestOutputContract:
         _, out, _ = run(capsys, "realized-mu", "--format", "json")
         json.loads(out)
 
-    def test_tsv_rejected_outside_census_and_family(self, capsys):
-        code, _, err = run(capsys, "invariants", "--n", "1", "--k", "3", "--format", "tsv")
-        assert code == 2
-        assert "census and family" in err
+    NON_TSV_COMMANDS = [
+        ["invariants", "--n", "1", "--k", "3"],
+        ["classify", "--n1", "1", "--k1", "3", "--n2", "1", "--k2", "115"],
+        ["certify", "--n", "1", "--k0", "1", "--k1", "113"],
+        ["components", "--n", "1", "--l", "3", "--pairs", "3"],
+        ["realized-mu"],
+    ]
+
+    def test_tsv_rejected_outside_census_and_family(self, capsys, monkeypatch):
+        for argv in self.NON_TSV_COMMANDS:
+            monkeypatch.delenv("SPHERECTL_FORMAT", raising=False)
+            code, out, err = run(capsys, *argv, "--format", "tsv")
+            assert (code, out) == (2, ""), argv
+            assert "census and family" in err
+            monkeypatch.setenv("SPHERECTL_FORMAT", "tsv")
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "census and family" in err
+
+    def test_tsv_from_env_var_accepted_by_census_and_family(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPHERECTL_FORMAT", "tsv")
+        code, out, err = run(capsys, "census", "--n", "2", "--from", "1", "--to", "9")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["representative\tmembers_count\tmu", "2\t1\t-"]
+        code, out, err = run(capsys, "family", "--n", "3", "--l", "1", "--count", "2")
+        assert (code, err) == (0, "")
+        assert out == "euler\tk\n3\t1\n3\t337\n"
 
     def test_module_entry_point(self):
         proc = subprocess.run(

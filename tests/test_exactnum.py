@@ -111,6 +111,30 @@ class TestQmodZ:
         assert str(QmodZ(0, 1)) == "0/1"
 
 
+class TestCanonicalFields:
+    """Every pair with |num|, |den| <= 60 canonicalizes as Fraction does, zero to 0/1."""
+
+    pairs = [(p, q) for p in range(-60, 61) for q in range(-60, 61) if q]
+
+    def test_rational_fields_match_fraction(self):
+        for p, q in self.pairs:
+            f, r = Fraction(p, q), Rational(p, q)
+            assert (r.num, r.den) == (f.numerator, f.denominator)
+
+    def test_qmodz_fields_match_fraction_mod_one(self):
+        for p, q in self.pairs:
+            f, c = Fraction(p, q) % 1, QmodZ(p, q)
+            assert (c.num, c.den) == (f.numerator, f.denominator)
+
+    def test_equal_fields_equal_values_and_hashes(self):
+        for cls in (Rational, QmodZ):
+            for p, q in self.pairs:
+                x = cls(p, q)
+                assert x == cls(x.num, x.den) == cls(p * 7, q * 7)
+                assert hash(x) == hash((x.num, x.den))
+                assert x != (x.num, x.den)
+
+
 class TestResidue:
     def test_normalizes_into_range(self):
         assert Residue(30, 28).value == 2
