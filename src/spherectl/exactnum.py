@@ -61,8 +61,8 @@ class _Value:
 class Rational(_Value):
     """A rational number num/den in lowest terms with den > 0.
 
-    Zero is stored as 0/1.  Any integer pair is accepted by the constructor
-    and reduced (negative denominators are folded into the numerator).
+    Zero is stored as 0/1, as gcd(0, d) = d.  Any integer pair is accepted by
+    the constructor and reduced (negative denominators fold into the numerator).
     """
 
     __slots__ = ("num", "den")
