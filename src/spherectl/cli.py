@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable
+from itertools import chain
 
 from .bundle import InvalidBundleError, NEGATIVE, POSITIVE, make_bundle
 from .classify import NO, UNKNOWN, YES, _census_firsts, _census_rows, _family_ks
@@ -175,9 +176,9 @@ def _cmd_components(args: argparse.Namespace, fmt: str) -> int:
     _check_limit("--pairs", args.pairs, MAX_PAIRS)
     b = make_bundle(args.n, args.l)
     pairs = max(args.pairs, 0)
-    # the members, then per pair k0, k1 and p1sq_X = -448(j - i)(k_i + k_j)/1, whose
-    # JSON certificate also prints n and the two GZ(k) labels in 460 bytes of fixed
-    # text (1770 with the provenance)
+    # the members, then per pair k0, k1 and p1sq_X = q[i] - q[j] = -448(j - i)(k_i + k_j)/1,
+    # whose JSON certificate also prints n and the two GZ(k) labels in 460 bytes of
+    # fixed text (1770 with the provenance)
     k = max(abs(args.l), abs(args.l + 112 * args.n * pairs))
     items = pairs * (pairs + 1) // 2 + pairs + 1
     if fmt == "pretty":
@@ -186,27 +187,29 @@ def _cmd_components(args: argparse.Namespace, fmt: str) -> int:
         _check_output_size(items, 1770 if args.quote_provenance else 460, args.n, k, k, k, k, 896 * pairs * k)
     report, rows = _components_rows(b, args.pairs, include_scal=args.scal)
     ks = [str(m.pont) for m in report.family]
+    verdicts = (INCONCLUSIVE, DISTINCT_COMPONENTS)  # indexed by p != 0
     if fmt == "pretty":
         if report.banner:
             print(report.banner, f"curvature: {' '.join(report.curvature_classes)}", sep="\n")
         else:
             print("verdict withheld" if report.certified is None else "certification failed")
         print(f"family: {' '.join(ks)}")
-        sys.stdout.writelines(f"  k0={ks[i]} k1={ks[j]}: {v} (p1sq_X = {p}/1)\n" for i, j, p, v in rows)
+        for i, ps in rows:
+            sys.stdout.writelines([f"  k0={ks[i]} k1={k}: {verdicts[p != 0]} (p1sq_X = {p}/1)\n"
+                                   for k, p in zip(ks[i + 1:], ps)])
         print(report.note)
     else:
-        # a certificate reads c0 k_i c1 k_j c2 k_i c3 k_j c4 p c5 verdict c6, with the pieces
-        # joined ahead of time per family member and per verdict: six parts per row
+        # a certificate reads c0 k_i c1 k_j c2 k_i c3 k_j c4 p c5 verdict c6: one list of rows
+        # per member i, each row one f-string of parts joined once per member and per verdict
         sample = separation_certificate(b, b, args.scal).to_dict(args.quote_provenance)
         sample.update(k0=_MARK, k1=_MARK, metric_labels=[f"GZ({_MARK})"] * 2, p1sq_X=f"{_MARK}/1", verdict=_MARK)
         c0, c1, c2, c3, c4, c5, c6 = _row_pieces(sample)
         heads = [f"{c0}{k}{c1}" for k in ks]
-        seconds = [f"{k}{c2}" for k in ks]
-        first_labels = [f"{k}{c3}" for k in ks]
-        second_labels = [f"{k}{c4}" for k in ks]
-        tails = {v: f'{c5}"{v}"{c6}' for v in (DISTINCT_COMPONENTS, INCONCLUSIVE)}
-        _emit_json(report.to_dict(args.quote_provenance), "certificates", (
-            f"{heads[i]}{seconds[j]}{first_labels[i]}{second_labels[j]}{p}{tails[v]}" for i, j, p, v in rows
+        mids = [f"{c2}{k}{c3}" for k in ks]
+        tails = [f'{c5}"{v}"{c6}' for v in verdicts]
+        _emit_json(report.to_dict(args.quote_provenance), "certificates", chain.from_iterable(
+            [f"{head}{k}{mid}{k}{c4}{p}{tails[p != 0]}" for k, p in zip(ks[i + 1:], ps)]
+            for (i, ps), head, mid in zip(rows, heads, mids)
         ))
     return 0 if report.certified else 3
 

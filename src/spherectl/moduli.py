@@ -262,35 +262,37 @@ def infinite_components_report(
 
     Cost model: the report and its verdict come from _components_rows in
     O(pairs), "certified" by its O(1) closed form.  The certificates are one
-    separation_certificate per (i, j) of its rows, pairs*(pairs+1)/2 objects,
-    each one Rational on native ints from the general formula 4*(k0^2 - k1^2)/n
-    and sharing the curvature tags.  The CLI renders the rows instead.
+    separation_certificate per pair (i, j), j walking the row of member i,
+    pairs*(pairs+1)/2 objects, each one Rational on native ints from the general
+    formula 4*(k0^2 - k1^2)/n and sharing the curvature tags.  The CLI renders
+    the rows instead.
     """
     head, rows = _components_rows(b, pairs, include_scal)
     family = head.family
-    certificates = tuple(separation_certificate(family[i], family[j], include_scal) for i, j, _, _ in rows)
+    certificates = tuple(separation_certificate(family[i], family[j], include_scal)
+                         for i, ps in rows for j in range(i + 1, i + 1 + len(ps)))
     return ComponentsReport(head.base, pairs, family, certificates, head.certified, head.banner,
                             head.curvature_classes, head.note)
 
 
 def _components_rows(
     b: BundleClass, pairs: int, include_scal: bool = True
-) -> tuple[ComponentsReport, Iterator[tuple[int, int, int, str]]]:
+) -> tuple[ComponentsReport, Iterator[tuple[int, list[int]]]]:
     """The components report of the family of b, and its certificates as closed-form rows.
 
-    For the members k_i = l + 112n*i the gluing number has a closed form,
+    For the members k_i = l + 112n*i the gluing number has a closed form: with
+    q[j] = (4*k_j^2 - 4*l^2)/n = 896*l*j + 50176*n*j^2, an integer,
 
-        p1^2[X] = 4*(k_i^2 - k_j^2)/n = -448*(j - i)*(2l + 112n*(i + j)),
+        p1^2[X] = 4*(k_i^2 - k_j^2)/n = q[i] - q[j] = -448*(j - i)*(2l + 112n*(i + j)),
 
-    because k_i - k_j = -112n*(j - i) cancels the n: p1sq_X is always the
-    Rational p/1 for an int p.  It is zero exactly when i + j = -l/(56n), so
-    with pairs >= 1 some pair fails exactly when l < 0, 56n | l and
-    1 <= -l/(56n) <= 2*pairs - 1, and certified is decided in O(1).
+    so p1sq_X is always the Rational p/1 for an int p.  It is zero exactly when
+    i + j = -l/(56n), so with pairs >= 1 some pair fails exactly when l < 0,
+    56n | l and 1 <= -l/(56n) <= 2*pairs - 1, and certified is decided in O(1).
 
     The report's certificates are (): the rows, the one enumeration of the pairs,
-    stand for them.  They are (i, j, p, verdict), one per pair (i < j) in
-    lexicographic order, with p the numerator of p1sq_X.  Cost: O(pairs)
-    objects, then one integer product per row.
+    stand for them: a row (i, ps) per member i < pairs, never empty, with ps the
+    numerators p of p1sq_X of the pairs (i, j), j = i+1..pairs.  A pair separates
+    exactly when p != 0.  Cost: O(pairs) objects, then one subtraction per pair.
     """
     if pairs < 0:
         raise ValueError("pairs must be nonnegative")
@@ -314,15 +316,10 @@ def _components_rows(
               else INFINITUDE_NOTE_OPPOSITE if opposite else INFINITUDE_NOTE_NONPOSITIVE),
     )
 
-    def rows() -> Iterator[tuple[int, int, int, str]]:
-        # with t = j - i, p = -448t * (2l + 224n*i + 112n*t); the factors in t are precomputed
-        scale = [-448 * t for t in range(pairs + 1)]
-        shift = [112 * n * t for t in range(pairs + 1)]
-        for i in range(pairs + 1):
-            base = 2 * l + 224 * n * i
-            for t in range(1, pairs + 1 - i):
-                p = scale[t] * (base + shift[t])
-                # the vanishing index forms force p1^2[X] = 0, so p != 0 separates
-                yield i, i + t, p, DISTINCT_COMPONENTS if p else INCONCLUSIVE
+    def rows() -> Iterator[tuple[int, list[int]]]:
+        q = [896 * l * j + 50176 * n * j * j for j in range(pairs + 1)]
+        for i in range(pairs):
+            qi = q[i]
+            yield i, [qi - qj for qj in q[i + 1:]]
 
     return report, rows()

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spherectl import bundle, classify, cli, moduli
+from spherectl import bundle, classify, cli, exactnum, moduli
 from spherectl.bundle import make_bundle
 from spherectl.classify import census
 from spherectl.cli import main
@@ -607,6 +607,33 @@ class TestComponentsRenderer:
         built.clear()
         infinite_components_report(make_bundle(1, 3), 30)
         assert len(built) == 30 * 31 // 2
+
+    @pytest.mark.parametrize("fmt, certificates", [("json", 1), ("pretty", 0)])
+    def test_cli_cost_is_linear_in_pairs(self, monkeypatch, fmt, certificates):
+        # components is O(pairs): it builds the base and its 151 members, no more than the
+        # one sample certificate of the JSON output with its one Rational, and one row per
+        # member i < pairs, while it prints 150*151/2 certificates
+        built = {"BundleClass": 0, "SeparationCertificate": 0, "Rational": 0}
+        for cls in (bundle.BundleClass, moduli.SeparationCertificate, exactnum.Rational):
+            def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        yielded = []
+        components_rows = cli._components_rows
+
+        def counting_rows(*args, **kwargs):
+            report, rows = components_rows(*args, **kwargs)
+            return report, (yielded.append(row) or row for row in rows)
+
+        monkeypatch.setattr(cli, "_components_rows", counting_rows)
+        code, out = capture_main(["components", "--n", "3", "--l", "1", "--pairs", "150", "--format", fmt])
+        assert code == 0
+        assert out.count("DistinctComponents") == 150 * 151 // 2
+        assert built["BundleClass"] == 152
+        assert built["SeparationCertificate"] <= certificates and built["Rational"] <= certificates
+        assert len(yielded) == 150
 
 
 @st.composite

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -282,10 +284,59 @@ class TestClosedFormRows:
     @example(make_bundle(2, -112), 2, True)
     @example(make_bundle(4, -224 * 15), 8, False)  # i + j = 15 = 2*pairs - 1
     @example(make_bundle(1, -(10**80) + 1), 5, True)
+    @example(make_bundle(2, -112), 0, True)  # no member has a pair: no row
+    @example(make_bundle(1, 3), 1, False)  # one row of one pair
     def test_rows_match_library_certificates(self, base, pairs, scal):
         report, rows = moduli._components_rows(base, pairs, include_scal=scal)
         ref = infinite_components_report(base, pairs, include_scal=scal)
         assert report.certificates == ()
         assert report.to_dict() == {**ref.to_dict(), "certificates": []}
-        got = [(report.family[i], report.family[j], Rational(p), verdict) for i, j, p, verdict in rows]
+        rows = list(rows)
+        # one row per member i < pairs, holding its pairs - i pairs (i, j): never empty
+        assert [i for i, _ in rows] == list(range(pairs))
+        assert [len(ps) for _, ps in rows] == [pairs - i for i in range(pairs)]
+        assert all(ps for _, ps in rows)
+        got = [(report.family[i], report.family[j], Rational(p), DISTINCT_COMPONENTS if p != 0 else INCONCLUSIVE)
+               for i, ps in rows for j, p in enumerate(ps, i + 1)]
         assert got == [(*c.pair, c.glued.p1sq_X, c.verdict) for c in ref.certificates]
+
+
+@st.composite
+def q_table_bases(draw):
+    """Bases (n, l) with n up to 1000 and l small, a multiple of 56n or up to 300 digits."""
+    n = draw(st.integers(min_value=1, max_value=1000))
+    l = draw(st.one_of(
+        st.integers(min_value=-10**4, max_value=10**4),
+        st.integers(min_value=-30, max_value=30).map(lambda m: 56 * n * m),
+        st.integers(min_value=-10**300, max_value=10**300),
+    ))
+    return make_bundle(n, l + (l - n) % 2)
+
+
+class TestQTable:
+    """The rows' p = q[i] - q[j], q[j] = 896*l*j + 50176*n*j^2, against the exact
+    Fraction 4*(k_i^2 - k_j^2)/n of the members k_j = l + 112n*j."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(q_table_bases(), st.integers(min_value=0, max_value=12))
+    @example(make_bundle(2, -112), 2)
+    @example(make_bundle(1000, -56000 * 11), 12)  # i + j = 11: six pairs fail
+    @example(make_bundle(998, -55888 * 24), 12)  # i + j = 24 is out of reach: certified
+    @example(make_bundle(999, 10**299 + 1), 12)
+    @example(make_bundle(7, -10**299 - 1), 1)
+    def test_q_differences_are_the_exact_gluing_numbers(self, base, pairs):
+        n, l = base.euler, base.pont
+        ks = [l + 112 * n * j for j in range(pairs + 1)]
+        report, rows = moduli._components_rows(base, pairs)
+        seen, every_p_nonzero = [], True
+        for i, ps in rows:
+            for j, p in enumerate(ps, i + 1):
+                exact = Fraction(4 * (ks[i] ** 2 - ks[j] ** 2), n)
+                assert exact.denominator == 1
+                assert type(p) is int and p == exact
+                assert (p == 0) is (ks[i] == -ks[j])
+                seen.append((i, j))
+                every_p_nonzero = every_p_nonzero and p != 0
+        assert seen == [(i, j) for i in range(pairs + 1) for j in range(i + 1, pairs + 1)]
+        if pairs >= 1:
+            assert report.certified is every_p_nonzero
