@@ -1,94 +1,13 @@
 """Exact-arithmetic invariants of linear S^3-bundles over S^4 and separation
 certificates for path components of their moduli spaces of metrics."""
 
-from .bundle import (
-    BundleClass,
-    InvalidBundleError,
-    NEGATIVE,
-    Orientation,
-    POSITIVE,
-    from_milnor_params,
-    make_bundle,
-    reverse_bundle_orientation,
-)
-from .classify import (
-    CensusClass,
-    CensusReport,
-    DiffeoVerdict,
-    Theta7Element,
-    census,
-    gz_family,
-    homeomorphic,
-    oriented_diffeomorphic,
-    theta7_add,
-    theta7_neg,
-    unoriented_diffeomorphic,
-)
-from .exactnum import QmodZ, Rational, Residue, qmodz_add, qmodz_neg
-from .moduli import (
-    ComponentsReport,
-    GluedManifoldInvariants,
-    SeparationCertificate,
-    deduce_p1sq_zero,
-    index_forms_dim8,
-    infinite_components_report,
-    separation_certificate,
-)
-from .space import (
-    CohomologyTable,
-    SpaceDossier,
-    cohomology,
-    dossier,
-    fold_orientation,
-    is_homotopy_sphere,
-    mu_invariant,
-    p1_squared_W,
-    realized_mu_set,
-    realized_mu_set_unoriented,
-)
+from . import bundle, classify, exactnum, moduli, space
+from .bundle import *
+from .classify import *
+from .exactnum import *
+from .moduli import *
+from .space import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BundleClass",
-    "CensusClass",
-    "CensusReport",
-    "CohomologyTable",
-    "ComponentsReport",
-    "DiffeoVerdict",
-    "GluedManifoldInvariants",
-    "InvalidBundleError",
-    "NEGATIVE",
-    "Orientation",
-    "POSITIVE",
-    "QmodZ",
-    "Rational",
-    "Residue",
-    "SeparationCertificate",
-    "SpaceDossier",
-    "Theta7Element",
-    "census",
-    "cohomology",
-    "deduce_p1sq_zero",
-    "dossier",
-    "fold_orientation",
-    "from_milnor_params",
-    "gz_family",
-    "homeomorphic",
-    "index_forms_dim8",
-    "infinite_components_report",
-    "is_homotopy_sphere",
-    "make_bundle",
-    "mu_invariant",
-    "oriented_diffeomorphic",
-    "p1_squared_W",
-    "qmodz_add",
-    "qmodz_neg",
-    "realized_mu_set",
-    "realized_mu_set_unoriented",
-    "reverse_bundle_orientation",
-    "separation_certificate",
-    "theta7_add",
-    "theta7_neg",
-    "unoriented_diffeomorphic",
-]
+__all__ = bundle.__all__ + classify.__all__ + exactnum.__all__ + moduli.__all__ + space.__all__

@@ -11,6 +11,11 @@ from __future__ import annotations
 
 from .exactnum import _Value
 
+__all__ = [
+    "BundleClass", "InvalidBundleError", "NEGATIVE", "Orientation", "POSITIVE",
+    "from_milnor_params", "make_bundle", "reverse_bundle_orientation",
+]
+
 
 class InvalidBundleError(ValueError):
     """No oriented rank-4 bundle over S^4 realizes the given parameters."""

@@ -23,6 +23,11 @@ from .bundle import BundleClass
 from .exactnum import QmodZ, Residue, _Value
 from .space import _MU_NUM, _MU_NUM_FOLDED
 
+__all__ = [
+    "CensusClass", "CensusReport", "DiffeoVerdict", "Theta7Element", "census", "gz_family", "homeomorphic",
+    "oriented_diffeomorphic", "theta7_add", "theta7_neg", "unoriented_diffeomorphic",
+]
+
 YES = "Yes"
 NO = "No"
 UNKNOWN = "Unknown"

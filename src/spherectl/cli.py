@@ -25,7 +25,7 @@ import sys
 from collections.abc import Iterable
 from itertools import chain
 
-from .bundle import InvalidBundleError, NEGATIVE, POSITIVE, make_bundle
+from .bundle import NEGATIVE, POSITIVE, make_bundle
 from .classify import NO, UNKNOWN, YES, _census_firsts, _census_rows, _family_ks
 from .classify import oriented_diffeomorphic, unoriented_diffeomorphic
 from .moduli import DISTINCT_COMPONENTS, INCONCLUSIVE, _components_rows, separation_certificate
@@ -211,7 +211,7 @@ def _cmd_components(args: argparse.Namespace, fmt: str) -> int:
             [f"{head}{k}{mid}{k}{c4}{p}{tails[p != 0]}" for k, p in zip(ks[i + 1:], ps)]
             for (i, ps), head, mid in zip(rows, heads, mids)
         ))
-    return 0 if report.certified else 3
+    return EXIT_CODES[DISTINCT_COMPONENTS if report.certified else INCONCLUSIVE]
 
 
 def _cmd_census(args: argparse.Namespace, fmt: str) -> int:
@@ -360,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
             code = args.func(args, _resolve_format(args))
             sys.stdout.flush()
             return code
-        except (InvalidBundleError, ValueError) as exc:
+        except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
     except BrokenPipeError:

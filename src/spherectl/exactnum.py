@@ -12,6 +12,8 @@ from functools import total_ordering
 from math import gcd
 from operator import attrgetter
 
+__all__ = ["QmodZ", "Rational", "Residue", "qmodz_add", "qmodz_neg"]
+
 
 class _Value:
     """Base of the immutable value types, with semantics read off __slots__.

@@ -24,6 +24,11 @@ from .bundle import BundleClass
 from .classify import gz_family
 from .exactnum import Rational, _Value
 
+__all__ = [
+    "ComponentsReport", "GluedManifoldInvariants", "SeparationCertificate", "deduce_p1sq_zero",
+    "index_forms_dim8", "infinite_components_report", "separation_certificate",
+]
+
 FORCED_ZERO = "ForcedZero"
 UNCONSTRAINED = "Unconstrained"
 

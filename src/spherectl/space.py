@@ -21,6 +21,11 @@ from __future__ import annotations
 from .bundle import BundleClass, Orientation, POSITIVE
 from .exactnum import QmodZ, Rational, _Value, qmodz_neg
 
+__all__ = [
+    "CohomologyTable", "SpaceDossier", "cohomology", "dossier", "fold_orientation", "is_homotopy_sphere",
+    "mu_invariant", "p1_squared_W", "realized_mu_set", "realized_mu_set_unoriented",
+]
+
 
 class CohomologyTable(_Value):
     """Integral cohomology of a closed oriented 7-manifold, degrees 0..7.

@@ -103,6 +103,16 @@ class TestExitCodes:
         answers = set(classify._ALLOWED_REASONS)
         assert set(cli.EXIT_CODES) == answers | {moduli.DISTINCT_COMPONENTS, moduli.INCONCLUSIVE}
 
+    def test_components_exit_code_comes_from_the_table(self, capsys, monkeypatch):
+        codes = {verdict: 10 + i for i, verdict in enumerate(cli.EXIT_CODES)}
+        monkeypatch.setattr(cli, "EXIT_CODES", codes)
+        for argv, verdict in [
+            (("--n", "1", "--l", "3", "--pairs", "3"), moduli.DISTINCT_COMPONENTS),
+            (("--n", "1", "--l", "3", "--pairs", "0"), moduli.INCONCLUSIVE),
+            (("--n", "2", "--l", "-112", "--pairs", "2"), moduli.INCONCLUSIVE),
+        ]:
+            assert run(capsys, "components", *argv)[0] == codes[verdict]
+
 
 class TestCertifyCommand:
     def test_distinct_components(self, capsys):

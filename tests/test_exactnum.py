@@ -29,6 +29,10 @@ class TestRational:
         with pytest.raises(ZeroDivisionError):
             Rational(1, 0)
 
+    def test_is_zero(self):
+        assert Rational(0, -5).is_zero()
+        assert not Rational(1, 3).is_zero()
+
     def test_division_by_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
             Rational(1, 2) / Rational(0)
@@ -110,6 +114,14 @@ class TestQmodZ:
         assert str(QmodZ(3, 28)) == "3/28"
         assert str(QmodZ(0, 1)) == "0/1"
 
+    def test_is_zero(self):
+        assert QmodZ(56, 28).is_zero()
+        assert not QmodZ(1, 28).is_zero()
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            QmodZ(1, 0)
+
 
 class TestCanonicalFields:
     """Every pair with |num|, |den| <= 60 canonicalizes as Fraction does, zero to 0/1."""
@@ -145,3 +157,6 @@ class TestResidue:
             Residue(1, 0)
         with pytest.raises(ValueError):
             Residue(1, -5)
+
+    def test_str(self):
+        assert str(Residue(-13, 28)) == "15 mod 28"

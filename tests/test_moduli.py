@@ -16,6 +16,7 @@ from spherectl.moduli import (
     CURVATURE_SEC,
     DISTINCT_COMPONENTS,
     FORCED_ZERO,
+    GluedManifoldInvariants,
     INCONCLUSIVE,
     deduce_p1sq_zero,
     index_forms_dim8,
@@ -115,6 +116,10 @@ class TestSeparationCertificate:
     def test_rejects_nonpositive_euler(self):
         with pytest.raises(ValueError, match="euler > 0"):
             separation_certificate(make_bundle(-1, 3), make_bundle(-1, 115))
+
+    def test_glued_invariants_reject_unknown_ahat_constraint(self):
+        with pytest.raises(ValueError, match="ahat_constraint"):
+            GluedManifoldInvariants(0, Rational(4), "forced-zero")
 
     def test_sign_X_always_zero(self):
         for n, k0, k1 in [(1, 1, 3), (1, 3, 115), (2, 2, 226), (10, 4, 1124)]:

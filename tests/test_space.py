@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 from spherectl.bundle import BundleClass, NEGATIVE, POSITIVE, make_bundle
 from spherectl.exactnum import QmodZ, Rational, qmodz_neg
 from spherectl.space import (
+    CohomologyTable,
     cohomology,
     dossier,
     fold_orientation,
@@ -87,6 +88,18 @@ class TestCohomology:
             tables = {cohomology(BundleClass(n, n + 2 * j)).groups for j in (-3, 0, 1, 50)}
             assert len(tables) == 1
         assert cohomology(make_bundle(3, 1)).to_list() == cohomology(make_bundle(-3, 7)).to_list()
+
+    def test_table_rejects_what_no_sphere_bundle_has(self):
+        sphere = ("Z", "0", "0", "0", "0", "0", "0", "Z")
+        with pytest.raises(ValueError, match="degrees 0..7"):
+            CohomologyTable(sphere[:7])
+        for i in (0, 7):
+            with pytest.raises(ValueError, match="must be Z"):
+                CohomologyTable(sphere[:i] + ("0",) + sphere[i + 1:])
+        for i in (1, 2, 3, 5, 6):
+            with pytest.raises(ValueError, match=f"H\\^{i} must vanish"):
+                CohomologyTable(sphere[:i] + ("Z",) + sphere[i + 1:])
+        assert CohomologyTable(sphere[:4] + ("Z/2Z",) + sphere[5:]).groups[4] == "Z/2Z"
 
 
 class TestP1SquaredW:
