@@ -23,7 +23,6 @@ import json
 import os
 import sys
 from collections.abc import Iterable
-from itertools import chain
 
 from .bundle import NEGATIVE, POSITIVE, make_bundle
 from .classify import NO, UNKNOWN, YES, _census_firsts, _census_rows, _family_ks
@@ -150,14 +149,14 @@ def _emit_json(payload: dict, key: str | None = None, rows: Iterable[str] = ()) 
 
     The payload is dumped with payload[key] = [] and cut at '"key": []' into a
     head and a tail, written before and after the rows; with no rows it prints
-    [], as json.dumps does.  Each row is the text of one item led by a comma and
-    a newline, and the comma of the first row is dropped.
+    [], as json.dumps does.  Each row, one write, is the text of one or more items,
+    each led by a comma and a newline; the comma of the first row is dropped.
 
     The items of a report share their keys and most values, so _row_pieces
     dumps one sample item once, with a _MARK in each field that varies, and
     cuts it at the markers into constant pieces c0, c1, ...  With sorted keys an
-    item reads c0 v0 c1 v1 ... for its varying values in key order, so a row is
-    one f-string and no template is parsed per row.
+    item reads c0 v0 c1 v1 ... for its varying values in key order, so an item is
+    one f-string and no template is parsed per item.
     """
     text = json.dumps(payload if key is None else {**payload, key: []}, indent=2, sort_keys=True)
     rows = iter(rows)
@@ -195,20 +194,20 @@ def _cmd_components(args: argparse.Namespace, fmt: str) -> int:
             print("verdict withheld" if report.certified is None else "certification failed")
         print(f"family: {' '.join(ks)}")
         for i, ps in rows:
-            sys.stdout.writelines([f"  k0={ks[i]} k1={k}: {verdicts[p != 0]} (p1sq_X = {p}/1)\n"
-                                   for k, p in zip(ks[i + 1:], ps)])
+            sys.stdout.write("".join([f"  k0={ks[i]} k1={k}: {verdicts[p != 0]} (p1sq_X = {p}/1)\n"
+                                      for k, p in zip(ks[i + 1:], ps)]))
         print(report.note)
     else:
-        # a certificate reads c0 k_i c1 k_j c2 k_i c3 k_j c4 p c5 verdict c6: one list of rows
-        # per member i, each row one f-string of parts joined once per member and per verdict
+        # a certificate reads c0 k_i c1 k_j c2 k_i c3 k_j c4 p c5 verdict c6, one f-string of parts
+        # joined once per member and per verdict; member i's certificates are joined into one row
         sample = separation_certificate(b, b, args.scal).to_dict(args.quote_provenance)
         sample.update(k0=_MARK, k1=_MARK, metric_labels=[f"GZ({_MARK})"] * 2, p1sq_X=f"{_MARK}/1", verdict=_MARK)
         c0, c1, c2, c3, c4, c5, c6 = _row_pieces(sample)
         heads = [f"{c0}{k}{c1}" for k in ks]
         mids = [f"{c2}{k}{c3}" for k in ks]
         tails = [f'{c5}"{v}"{c6}' for v in verdicts]
-        _emit_json(report.to_dict(args.quote_provenance), "certificates", chain.from_iterable(
-            [f"{head}{k}{mid}{k}{c4}{p}{tails[p != 0]}" for k, p in zip(ks[i + 1:], ps)]
+        _emit_json(report.to_dict(args.quote_provenance), "certificates", (
+            "".join([f"{head}{k}{mid}{k}{c4}{p}{tails[p != 0]}" for k, p in zip(ks[i + 1:], ps)])
             for (i, ps), head, mid in zip(rows, heads, mids)
         ))
     return EXIT_CODES[DISTINCT_COMPONENTS if report.certified else INCONCLUSIVE]

@@ -587,17 +587,30 @@ class TestComponentsRenderer:
           for fmt in ("json", "pretty", "tsv")),
     ])
     def test_rows_are_written_as_they_are_rendered(self, argv):
-        # no single write carries more than a sliver of the report, so it is never held whole
+        # the report is written as it is rendered, so it is never held whole
         writes = []
 
         class Recorder(io.StringIO):
             def write(self, text):
-                writes.append(len(text))
+                writes.append(text)
                 return super().write(text)
 
         with contextlib.redirect_stdout(Recorder()):
             assert main(argv) == 0
-        assert max(writes) * 50 < sum(writes)
+        sizes = [len(text) for text in writes]
+        if argv[0] != "components":
+            # no single write carries more than a sliver of the report
+            assert max(sizes) * 50 < sum(sizes)
+            return
+        # components writes each family member's certificates in one call, member i holding
+        # pairs - i of them, between the head and the tail: in JSON the head shares its write
+        # with member 0 and the tail is 1 write, in pretty they are 6 and 2 writes of their own
+        pairs, fmt = 40, argv[-1]
+        head, tail, marker = {"json": (0, 1, '"k0": '), "pretty": (6, 2, "  k0=")}[fmt]
+        assert len(writes) == {"json": pairs + 1, "pretty": pairs + 8}[fmt]
+        assert [text.count(marker) for text in writes] == [0] * head + list(range(pairs, 0, -1)) + [0] * tail
+        # so no write holds more than the head and member 0's certificates, about 2/(pairs+1) of the output
+        assert max(sizes) * (pairs + 1) < 2 * sum(sizes)
 
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
     def test_cli_builds_at_most_one_certificate(self, monkeypatch, fmt):

@@ -37,6 +37,13 @@ class TestRational:
         with pytest.raises(ZeroDivisionError):
             Rational(1, 2) / Rational(0)
 
+    def test_division_by_numerator_one(self):
+        assert Rational(3, 4) / Rational(1, 2) == Rational(3, 2)
+
+    def test_strict_order_is_irreflexive(self):
+        for q in (Rational(0), Rational(3, 4), Rational(-7, 2)):
+            assert not q < q and q <= q
+
     def test_str_always_num_slash_den(self):
         assert str(Rational(36)) == "36/1"
         assert str(Rational(-51072)) == "-51072/1"
@@ -122,6 +129,14 @@ class TestQmodZ:
         with pytest.raises(ZeroDivisionError):
             QmodZ(1, 0)
 
+    def test_integer_is_the_zero_class(self):
+        assert QmodZ(5) == QmodZ(0, 1)
+        assert QmodZ(5).is_zero()
+
+    def test_strict_order_is_irreflexive(self):
+        for q in (QmodZ(0, 1), QmodZ(3, 28), QmodZ(1, 2)):
+            assert not q < q and q <= q
+
 
 class TestCanonicalFields:
     """Every pair with |num|, |den| <= 60 canonicalizes as Fraction does, zero to 0/1."""
@@ -157,6 +172,10 @@ class TestResidue:
             Residue(1, 0)
         with pytest.raises(ValueError):
             Residue(1, -5)
+
+    def test_modulus_one_is_allowed(self):
+        assert Residue(7, 1).value == 0
+        assert Residue(-7, 1) == Residue(0, 1)
 
     def test_str(self):
         assert str(Residue(-13, 28)) == "15 mod 28"
