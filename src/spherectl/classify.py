@@ -10,6 +10,8 @@ never upgraded to "No".
 Each decider is one ordered table of rules (spheres_only, key, if_equal,
 if_differ) read by _decide after the cohomology obstruction: the first rule in
 scope whose outcome for key(b1) == key(b2) is not None decides, else Unknown.
+A decider's verdicts are its table's outcomes plus the obstruction and
+Unknown (_VERDICTS), so a new row needs no second edit.
 The sphere rules and the census (_census_rows, shared by census and the CLI)
 key homotopy spheres by the mu table of space, folded when unoriented.
 """
@@ -40,12 +42,6 @@ CONGRUENCE_MOD_112N = "CongruenceMod112n"
 TOPOLOGICAL_SPHERE = "TopologicalSphere"
 OUTSIDE_KNOWN_CRITERIA = "OutsideKnownCriteria"
 
-_ALLOWED_REASONS = {
-    YES: frozenset((MU_INVARIANT_EQUAL, CONGRUENCE_MOD_2N, CONGRUENCE_MOD_112N, TOPOLOGICAL_SPHERE)),
-    NO: frozenset((COHOMOLOGY_OBSTRUCTION, MU_INVARIANT_DIFFER)),
-    UNKNOWN: frozenset((OUTSIDE_KNOWN_CRITERIA,)),
-}
-
 
 class DiffeoVerdict(_Value):
     """Tri-valued classification answer with a machine-checkable reason tag."""
@@ -53,8 +49,7 @@ class DiffeoVerdict(_Value):
     __slots__ = ("answer", "reason")
 
     def __init__(self, answer: str, reason: str) -> None:
-        allowed = _ALLOWED_REASONS.get(answer)
-        if allowed is None or reason not in allowed:
+        if (answer, reason) not in _VERDICTS:
             raise ValueError(f"inconsistent verdict {answer}/{reason}")
         object.__setattr__(self, "answer", answer)
         object.__setattr__(self, "reason", reason)
@@ -75,19 +70,23 @@ _UNORIENTED = (
     (True, lambda b: _MU_NUM_FOLDED[b.pont % 112], (YES, MU_INVARIANT_EQUAL), (NO, MU_INVARIANT_DIFFER)),
     (False, lambda b: b.pont % (112 * abs(b.euler)), (YES, CONGRUENCE_MOD_112N), None),
 )
+# every (answer, reason) a decider can return: its table's outcomes, the obstruction and Unknown
+_OBSTRUCTED, _UNDECIDED = (NO, COHOMOLOGY_OBSTRUCTION), (UNKNOWN, OUTSIDE_KNOWN_CRITERIA)
+_VERDICTS = {_OBSTRUCTED, _UNDECIDED} | {
+    outcome for rules in (_HOMEOMORPHIC, _ORIENTED, _UNORIENTED) for rule in rules for outcome in rule[2:] if outcome}
 
 
 def _decide(rules: tuple, b1: BundleClass, b2: BundleClass) -> DiffeoVerdict:
     n = abs(b1.euler)
     if n != abs(b2.euler):
-        return DiffeoVerdict(NO, COHOMOLOGY_OBSTRUCTION)
+        return DiffeoVerdict(*_OBSTRUCTED)
     for spheres_only, key, if_equal, if_differ in rules:
         if spheres_only and n != 1:
             continue
         outcome = if_equal if key(b1) == key(b2) else if_differ
         if outcome is not None:
             return DiffeoVerdict(*outcome)
-    return DiffeoVerdict(UNKNOWN, OUTSIDE_KNOWN_CRITERIA)
+    return DiffeoVerdict(*_UNDECIDED)
 
 
 def homeomorphic(b1: BundleClass, b2: BundleClass) -> DiffeoVerdict:

@@ -27,7 +27,7 @@ from collections.abc import Iterable
 from .bundle import NEGATIVE, POSITIVE, make_bundle
 from .classify import NO, UNKNOWN, YES, _census_firsts, _census_rows, _family_ks
 from .classify import oriented_diffeomorphic, unoriented_diffeomorphic
-from .moduli import DISTINCT_COMPONENTS, INCONCLUSIVE, _components_rows, separation_certificate
+from .moduli import DISTINCT_COMPONENTS, INCONCLUSIVE, _SEPARATION_VERDICTS, _components_rows, separation_certificate
 from .space import dossier, realized_mu_set, realized_mu_set_unoriented
 
 FORMATS = ("json", "tsv", "pretty")
@@ -186,7 +186,6 @@ def _cmd_components(args: argparse.Namespace, fmt: str) -> int:
         _check_output_size(items, 1770 if args.quote_provenance else 460, args.n, k, k, k, k, 896 * pairs * k)
     report, rows = _components_rows(b, args.pairs, include_scal=args.scal)
     ks = [str(m.pont) for m in report.family]
-    verdicts = (INCONCLUSIVE, DISTINCT_COMPONENTS)  # indexed by p != 0
     if fmt == "pretty":
         if report.banner:
             print(report.banner, f"curvature: {' '.join(report.curvature_classes)}", sep="\n")
@@ -194,7 +193,7 @@ def _cmd_components(args: argparse.Namespace, fmt: str) -> int:
             print("verdict withheld" if report.certified is None else "certification failed")
         print(f"family: {' '.join(ks)}")
         for i, ps in rows:
-            sys.stdout.write("".join([f"  k0={ks[i]} k1={k}: {verdicts[p != 0]} (p1sq_X = {p}/1)\n"
+            sys.stdout.write("".join([f"  k0={ks[i]} k1={k}: {_SEPARATION_VERDICTS[p != 0]} (p1sq_X = {p}/1)\n"
                                       for k, p in zip(ks[i + 1:], ps)]))
         print(report.note)
     else:
@@ -205,7 +204,7 @@ def _cmd_components(args: argparse.Namespace, fmt: str) -> int:
         c0, c1, c2, c3, c4, c5, c6 = _row_pieces(sample)
         heads = [f"{c0}{k}{c1}" for k in ks]
         mids = [f"{c2}{k}{c3}" for k in ks]
-        tails = [f'{c5}"{v}"{c6}' for v in verdicts]
+        tails = [f'{c5}"{v}"{c6}' for v in _SEPARATION_VERDICTS]
         _emit_json(report.to_dict(args.quote_provenance), "certificates", (
             "".join([f"{head}{k}{mid}{k}{c4}{p}{tails[p != 0]}" for k, p in zip(ks[i + 1:], ps)])
             for (i, ps), head, mid in zip(rows, heads, mids)

@@ -59,6 +59,19 @@ class _Value:
         return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)
 
 
+def _lowest_terms(num: int, den: int, what: str) -> tuple[int, int]:
+    """num/den in lowest terms with den > 0: the one canonical form of both types."""
+    if den == 0:
+        raise ZeroDivisionError(f"{what} with zero denominator")
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    if g > 1:
+        num //= g
+        den //= g
+    return num, den
+
+
 @total_ordering
 class Rational(_Value):
     """A rational number num/den in lowest terms with den > 0.
@@ -70,14 +83,7 @@ class Rational(_Value):
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1) -> None:
-        if den == 0:
-            raise ZeroDivisionError("rational with zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(num, den)
-        if g > 1:
-            num //= g
-            den //= g
+        num, den = _lowest_terms(num, den, "rational")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -91,8 +97,6 @@ class Rational(_Value):
         return Rational(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: Rational) -> Rational:
-        if other.num == 0:
-            raise ZeroDivisionError("division by zero rational")
         return Rational(self.num * other.den, self.den * other.num)
 
     def __neg__(self) -> Rational:
@@ -117,37 +121,24 @@ class QmodZ(_Value):
     """A class in Q/Z stored as its least nonnegative representative.
 
     Invariant: 0 <= num < den and gcd(num, den) = 1; the zero class is 0/1
-    (gcd(0, d) = d collapses the denominator).  The constructor accepts any
-    integer pair and canonicalizes, so QmodZ(q.num + t * q.den, q.den) == q.
+    (a reduced fraction is an integer exactly when den = 1).  The constructor
+    accepts any integer pair and canonicalizes, so QmodZ(q.num + t * q.den, q.den) == q.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1) -> None:
-        if den == 0:
-            raise ZeroDivisionError("Q/Z class with zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        num %= den
-        g = gcd(num, den)
-        if g > 1:
-            num //= g
-            den //= g
-        object.__setattr__(self, "num", num)
+        num, den = _lowest_terms(num, den, "Q/Z class")
+        object.__setattr__(self, "num", num % den)
         object.__setattr__(self, "den", den)
 
     @classmethod
     def from_rational(cls, r: Rational) -> QmodZ:
         return cls(r.num, r.den)
 
-    def __lt__(self, other: QmodZ) -> bool:
-        return self.num * other.den < other.num * self.den
-
-    def is_zero(self) -> bool:
-        return self.num == 0
-
-    def __str__(self) -> str:
-        return f"{self.num}/{self.den}"
+    __lt__ = Rational.__lt__
+    is_zero = Rational.is_zero
+    __str__ = Rational.__str__
 
 
 def qmodz_add(a: QmodZ, b: QmodZ) -> QmodZ:

@@ -34,6 +34,7 @@ UNCONSTRAINED = "Unconstrained"
 
 DISTINCT_COMPONENTS = "DistinctComponents"
 INCONCLUSIVE = "Inconclusive"
+_SEPARATION_VERDICTS = (INCONCLUSIVE, DISTINCT_COMPONENTS)  # a pair's verdict, indexed by p1^2[X] != 0
 
 CURVATURE_SEC = "sec>=0"
 CURVATURE_RIC = "Ric>0"
@@ -210,7 +211,7 @@ def separation_certificate(
         # sign(X) = sign(W_k0) - sign(W_k1) = 1 - 1: both disk bundles have signature +1
         glued=GluedManifoldInvariants(sign_X=0, p1sq_X=p1sq_x, ahat_constraint=FORCED_ZERO),
         # A-hat(X) = sign(X) = 0 force p1^2[X] = 0 (deduce_p1sq_zero): a nonzero value separates
-        verdict=DISTINCT_COMPONENTS if p1sq_x.num else INCONCLUSIVE,
+        verdict=_SEPARATION_VERDICTS[p1sq_x.num != 0],
         contradiction_value=p1sq_x,
         curvature_classes=_CURVATURE_CLASSES[bool(include_scal)],
         derivation_note=None if n == 1 else GENERAL_N_DERIVATION,

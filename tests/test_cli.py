@@ -100,7 +100,7 @@ class TestExitCodes:
         assert all(verdict in listed[code] for verdict, code in cli.EXIT_CODES.items())
 
     def test_every_verdict_has_an_exit_code(self):
-        answers = set(classify._ALLOWED_REASONS)
+        answers = {answer for answer, _ in classify._VERDICTS}
         assert set(cli.EXIT_CODES) == answers | {moduli.DISTINCT_COMPONENTS, moduli.INCONCLUSIVE}
 
     def test_components_exit_code_comes_from_the_table(self, capsys, monkeypatch):
@@ -971,3 +971,63 @@ class TestWorkLimits:
         if actual >= 2**16:
             with mock.patch.object(cli, "MAX_OUTPUT_BYTES", actual - 1):
                 assert capture_main(argv) == (2, "")
+
+
+class TestOutputEstimate:
+    """A refusal over MAX_OUTPUT_BYTES states its estimate: one record more than the
+    output has, times the fixed text of a record plus a digit bound of each int in it."""
+
+    @staticmethod
+    def stated(argv: list[str]) -> int:
+        err = io.StringIO()
+        with mock.patch.object(cli, "MAX_OUTPUT_BYTES", 0), contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        return int(err.getvalue().split("output of about ")[1].split()[0])
+
+    @staticmethod
+    def estimate(records: int, fixed: int, *ints: int) -> int:
+        # log10(2) < 0.30103, so bit_length() bounds the digits; one more byte for the sign
+        return (max(records, 0) + 1) * (fixed + sum(abs(x).bit_length() * 30103 // 100000 + 2 for x in ints))
+
+    # -6719 + 112*3*20 = 1, so only the larger end bounds k; --pairs -5 prints no pair;
+    # 896*585 and 897*585 straddle a digit of the bound
+    @pytest.mark.parametrize("n, l, pairs, fmt, quote", [
+        (3, -6719, 194, "json", False), (3, -6719, 194, "json", True), (3, -6719, 194, "pretty", False),
+        (1, -6719, -5, "json", False), (3, 1, 194, "json", False), (1, -585, 1, "json", False),
+        (1, -585, 1, "pretty", False),
+    ])
+    def test_components(self, n, l, pairs, fmt, quote):
+        argv = ["components", "--n", str(n), "--l", str(l), "--pairs", str(pairs), "--format", fmt]
+        p = max(pairs, 0)
+        k = max(abs(l), abs(l + 112 * n * p))
+        records = p * (p + 1) // 2 + p + 1
+        if fmt == "pretty":
+            expected = self.estimate(records, 44, k, k, 896 * p * k)
+        else:
+            expected = self.estimate(records, 1770 if quote else 460, n, k, k, k, k, 896 * p * k)
+        assert self.stated(argv + ["--quote-provenance"] * quote) == expected
+
+    # 2^288 + 1 and 2^680 + 1 have bit lengths where the digit bound is sharp
+    @pytest.mark.parametrize("n, l, count, fmt", [
+        (3, 1, 0, "json"), (3, 1, 0, "tsv"), (3, 1, 0, "pretty"), (1, 1, 4681, "json"),
+        (1, -9999, 4681, "json"), (1, 2**288 + 1, 1, "json"), (1, 2**680 + 1, 1, "json"),
+    ])
+    def test_family(self, n, l, count, fmt):
+        argv = ["family", "--n", str(n), "--l", str(l), "--count", str(count), "--format", fmt]
+        k = max(abs(l), abs(l + 112 * n * (count - 1)))
+        assert self.stated(argv) == self.estimate(count, {"json": 42, "tsv": 2, "pretty": 1}[fmt], n, k)
+
+    @pytest.mark.parametrize("k_from, k_to, fmt", [
+        (-9, 502, "json"), (-9, 502, "tsv"), (-9, 502, "pretty"), (-9, 501, "json"),
+    ])
+    def test_census(self, k_from, k_to, fmt):
+        argv = ["census", "--n", "1", "--from", str(k_from), "--to", str(k_to), "--format", fmt]
+        classes = len(range(k_from + (1 - k_from) % 2, min(k_to + 1, k_from + 112), 2))
+        expected = self.estimate(classes, {"json": 86, "tsv": 10, "pretty": 27}[fmt],
+                                 max(abs(k_from), abs(k_to)), k_to - k_from + 1)
+        assert self.stated(argv) == expected
+
+    def test_an_estimate_equal_to_the_limit_is_admitted(self):
+        argv = ["family", "--n", "1", "--l", "1", "--count", "3"]
+        with mock.patch.object(cli, "MAX_OUTPUT_BYTES", self.stated(argv)):
+            assert capture_main(argv)[0] == 0
