@@ -22,13 +22,18 @@ it) with its whitespace collapsed, and a key that recurs in a module gets
 key, so KNOWN survives edits elsewhere.  A KNOWN entry that is no longer a
 mutant is printed as STALE, and one that a test now kills as KILLED.
 
+Before any mutant, the unmutated package runs the same suite once as a
+control.  If the control fails, or takes more than half of the timeout, the
+run stops with exit status 2: a broken environment or a slow machine would
+otherwise count every survivor as killed.
+
 Stdlib only, on 2 worker processes:
 
-  python tests/mutants/run.py                    # every mutant
-  python tests/mutants/run.py --sample 40 --seed 17
-  python tests/mutants/run.py --module exactnum --list
+  python tests/mutants/run.py               # every mutant
+  python tests/mutants/run.py --sample 40   # 40 mutants drawn with SAMPLE_SEED
 
-Exit status 0 when no live mutant survives, 1 otherwise.
+Exit status 0 when no live mutant survives, 1 when one does, 2 when the
+control fails or is too slow.
 """
 
 from __future__ import annotations
@@ -52,7 +57,9 @@ PACKAGE = ROOT / "src" / "spherectl"
 TESTS = ROOT / "tests"
 MODULES = ("bundle", "exactnum", "space", "classify", "moduli", "cli")
 TIMEOUT_S = 60
+CONTROL_LIMIT_S = TIMEOUT_S / 2
 WORKERS = 2
+SAMPLE_SEED = 17
 
 CMP = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 ARITH = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult, ast.Mod: ast.FloorDiv}
@@ -140,10 +147,10 @@ def _sites(src: str, tree: ast.Module):
                         yield "stmt", _text(src, stmt), lambda body=body, i=i: body.__setitem__(i, ast.Pass())
 
 
-def mutants(modules=MODULES) -> list[tuple[str, str, str, int]]:
+def mutants() -> list[tuple[str, str, str, int]]:
     """Every mutant as (module, source text, operator, site index)."""
     out = []
-    for module in modules:
+    for module in MODULES:
         src = (PACKAGE / f"{module}.py").read_text()
         tree = ast.parse(src)
         if ast.dump(ast.parse(ast.unparse(tree))) != ast.dump(tree):
@@ -172,16 +179,14 @@ def _test_files(module: str) -> list[str]:
     return [str(p) for p in ([own] if own.exists() else []) + rest]
 
 
-def _run(slot: Path, module: str, index: int) -> tuple[str, float]:
-    """'killed', 'timeout' or 'survived' for one mutant, run in the worker directory slot."""
-    target = slot / "src" / "spherectl" / f"{module}.py"
-    target.write_text(mutate(module, index))
+def _pytest(slot: Path, test_files: list[str]) -> tuple[str, float]:
+    """'killed', 'timeout' or 'survived' for the suite run on the package in the worker directory slot."""
     work = slot / "work"
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir()
     env = dict(os.environ, PYTHONPATH=str(slot / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
-           *_test_files(module)]
+           *test_files]
     start = time.monotonic()
     proc = subprocess.Popen(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                             start_new_session=True)
@@ -191,30 +196,30 @@ def _run(slot: Path, module: str, index: int) -> tuple[str, float]:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
         status = "timeout"
+    return status, time.monotonic() - start
+
+
+def _run(slot: Path, module: str, index: int) -> tuple[str, float]:
+    """'killed', 'timeout' or 'survived' for one mutant, run in the worker directory slot."""
+    target = slot / "src" / "spherectl" / f"{module}.py"
+    target.write_text(mutate(module, index))
+    try:
+        return _pytest(slot, _test_files(module))
     finally:
         shutil.copyfile(PACKAGE / f"{module}.py", target)
-    return status, time.monotonic() - start
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--module", action="append", choices=MODULES, help="only these modules (repeatable)")
-    parser.add_argument("--sample", type=int, help="run this many mutants, drawn with --seed")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--list", action="store_true", help="print the mutants without running them")
+    parser.add_argument("--sample", type=int, help=f"run this many mutants, drawn with seed {SAMPLE_SEED}")
     args = parser.parse_args(argv)
 
-    todo = mutants(args.module or MODULES)
+    todo = mutants()
     for key in sorted(set(KNOWN) - {m[:3] for m in todo}):
-        if key[0] in (args.module or MODULES):
-            print(f"STALE    {key[0]}  {key[2]}  {key[1]}: listed in KNOWN but no longer a mutant")
+        print(f"STALE    {key[0]}  {key[2]}  {key[1]}: listed in KNOWN but no longer a mutant")
     if args.sample is not None:
-        picked = random.Random(args.seed).sample(range(len(todo)), min(args.sample, len(todo)))
+        picked = random.Random(SAMPLE_SEED).sample(range(len(todo)), min(args.sample, len(todo)))
         todo = [todo[i] for i in sorted(picked)]
-    if args.list:
-        for module, text, operator, _ in todo:
-            print(f"{module}\t{operator}\t{text}")
-        return 0
 
     with tempfile.TemporaryDirectory(prefix="spherectl-mutants-") as tmp:
         slots: queue.Queue[Path] = queue.Queue()
@@ -222,6 +227,14 @@ def main(argv: list[str] | None = None) -> int:
             slot = Path(tmp) / f"w{w}"
             shutil.copytree(PACKAGE, slot / "src" / "spherectl", ignore=shutil.ignore_patterns("__pycache__"))
             slots.put(slot)
+
+        status, seconds = _pytest(Path(tmp) / "w0", [str(p) for p in sorted(TESTS.glob("test_*.py"))])
+        outcome = {"survived": "passed", "killed": "failed", "timeout": "timed out"}[status]
+        print(f"control: the unmutated suite {outcome} in {seconds:.1f} s (limit {CONTROL_LIMIT_S:.0f} s)",
+              flush=True)
+        if status != "survived" or seconds > CONTROL_LIMIT_S:
+            print("control failed: a mutant's run would not show whether a test kills it", file=sys.stderr)
+            return 2
 
         def one(m: tuple[str, str, str, int]) -> tuple[str, float]:
             slot = slots.get()
