@@ -22,7 +22,7 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .bundle import NEGATIVE, POSITIVE, make_bundle
 from .classify import NO, UNKNOWN, YES, _census_firsts, _census_rows, _family_ks
@@ -192,23 +192,40 @@ def _cmd_components(args: argparse.Namespace, fmt: str) -> int:
         else:
             print("verdict withheld" if report.certified is None else "certification failed")
         print(f"family: {' '.join(ks)}")
+        # member i's lines from the pieces [k0=k_i k1=, k_j, verdict, p, /1)], as its JSON certificates below
+        inconclusive, distinct = (f": {v} (p1sq_X = " for v in _SEPARATION_VERDICTS)
         for i, ps in rows:
-            sys.stdout.write("".join([f"  k0={ks[i]} k1={k}: {_SEPARATION_VERDICTS[p != 0]} (p1sq_X = {p}/1)\n"
-                                      for k, p in zip(ks[i + 1:], ps)]))
+            parts = [f"  k0={ks[i]} k1=", None, distinct, None, "/1)\n"] * len(ps)
+            parts[1::5] = ks[i + 1:]
+            parts[3::5] = map(str, ps)
+            if 0 in ps:
+                parts[5 * ps.index(0) + 2] = inconclusive
+            sys.stdout.write("".join(parts))
         print(report.note)
     else:
-        # a certificate reads c0 k_i c1 k_j c2 k_i c3 k_j c4 p c5 verdict c6, one f-string of parts
-        # joined once per member and per verdict; member i's certificates are joined into one row
+        # a certificate reads c0 k_i c1 k_j c2 k_i c3 k_j c4 p c5 verdict c6.  Member i's m certificates
+        # are the pieces [c0 k_i c1, k_j, c2 k_i c3, k_j c4, p, c5 "DistinctComponents" c6] repeated m
+        # times, the columns k_j, k_j c4 and p filled by slice, the verdict of the one pair of the row
+        # that can have p == 0 (k_i = -k_j) patched, and all joined once: no Python code runs per pair
         sample = separation_certificate(b, b, args.scal).to_dict(args.quote_provenance)
         sample.update(k0=_MARK, k1=_MARK, metric_labels=[f"GZ({_MARK})"] * 2, p1sq_X=f"{_MARK}/1", verdict=_MARK)
         c0, c1, c2, c3, c4, c5, c6 = _row_pieces(sample)
         heads = [f"{c0}{k}{c1}" for k in ks]
         mids = [f"{c2}{k}{c3}" for k in ks]
-        tails = [f'{c5}"{v}"{c6}' for v in _SEPARATION_VERDICTS]
-        _emit_json(report.to_dict(args.quote_provenance), "certificates", (
-            "".join([f"{head}{k}{mid}{k}{c4}{p}{tails[p != 0]}" for k, p in zip(ks[i + 1:], ps)])
-            for (i, ps), head, mid in zip(rows, heads, mids)
-        ))
+        kc4s = [f"{k}{c4}" for k in ks]
+        inconclusive, distinct = (f'{c5}"{v}"{c6}' for v in _SEPARATION_VERDICTS)
+
+        def certificates() -> Iterator[str]:
+            for (i, ps), head, mid in zip(rows, heads, mids):
+                parts = [head, None, mid, None, None, distinct] * len(ps)
+                parts[1::6] = ks[i + 1:]
+                parts[3::6] = kc4s[i + 1:]
+                parts[4::6] = map(str, ps)
+                if 0 in ps:
+                    parts[6 * ps.index(0) + 5] = inconclusive
+                yield "".join(parts)
+
+        _emit_json(report.to_dict(args.quote_provenance), "certificates", certificates())
     return EXIT_CODES[DISTINCT_COMPONENTS if report.certified else INCONCLUSIVE]
 
 

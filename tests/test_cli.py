@@ -658,6 +658,34 @@ class TestComponentsRenderer:
         assert built["SeparationCertificate"] <= certificates and built["Rational"] <= certificates
         assert len(yielded) == 150
 
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_cli_bytecode_is_linear_in_pairs(self, fmt):
+        # the CLI runs no Python code per certificate: the lines it executes grow with the
+        # members, not with the pairs(pairs+1)/2 certificates, so 4 times the pairs costs
+        # under 5 times the lines, where code run per certificate would cost about 16 times
+        def lines_run(pairs: int) -> int:
+            count = 0
+
+            def trace(frame, event, arg):
+                nonlocal count
+                if frame.f_code.co_filename != cli.__file__:
+                    return None
+                count += event == "line"
+                return trace
+
+            argv = ["components", "--n", "2", "--l", "-560", "--pairs", str(pairs), "--format", fmt]
+            outer = sys.gettrace()
+            sys.settrace(trace)
+            try:
+                code, out = capture_main(argv)
+            finally:
+                sys.settrace(outer)
+            # -l/(56n) = 5, so the pairs (0, 5), (1, 4) and (2, 3) have p == 0
+            assert code == 3 and out.count("Inconclusive") == 3
+            return count
+
+        assert lines_run(160) < 5 * lines_run(40)
+
 
 @st.composite
 def census_inputs(draw):
@@ -891,6 +919,18 @@ class TestWorkLimits:
         m = cli.MAX_CENSUS_CLASSES - count
         return ["census", "--n", str(n), "--from", str(k_from), "--to", str(k_from + 2 * m - 1)]
 
+    @pytest.mark.parametrize("command, worker", [
+        ("components", "_components_rows"), ("family", "_family_ks"), ("census", "_census_rows"),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_output_limit_refused_before_any_work(self, monkeypatch, command, worker, fmt):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{worker} called for an output over the limit")
+
+        monkeypatch.setattr(cli, worker, refuse)
+        code, out = capture_main(self.over_budget_argv(command, 3000, 1, 0, 1800) + ["--format", fmt])
+        assert (code, out) == (2, "")
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from(("components", "family", "census")),
@@ -909,18 +949,6 @@ class TestWorkLimits:
         # components has no tsv output, which is rejected first
         expected = "census and family" if (command, fmt) == ("components", "tsv") else "bytes exceeds the limit of"
         assert expected in err.getvalue()
-
-    @pytest.mark.parametrize("command, worker", [
-        ("components", "_components_rows"), ("family", "_family_ks"), ("census", "_census_rows"),
-    ])
-    @pytest.mark.parametrize("fmt", ["json", "pretty"])
-    def test_output_limit_refused_before_any_work(self, monkeypatch, command, worker, fmt):
-        def refuse(*args, **kwargs):
-            raise AssertionError(f"{worker} called for an output over the limit")
-
-        monkeypatch.setattr(cli, worker, refuse)
-        code, out = capture_main(self.over_budget_argv(command, 3000, 1, 0, 1800) + ["--format", fmt])
-        assert (code, out) == (2, "")
 
     @pytest.mark.parametrize("argv", [
         # these two print 226,819,487 and 231,541,956 bytes

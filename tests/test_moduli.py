@@ -329,12 +329,18 @@ class TestQTable:
     @example(make_bundle(998, -55888 * 24), 12)  # i + j = 24 is out of reach: certified
     @example(make_bundle(999, 10**299 + 1), 12)
     @example(make_bundle(7, -10**299 - 1), 1)
+    @example(make_bundle(2, -112 * 5), 9)  # i + j = 5: the zero of row 2 is its first entry, j = i + 1
+    @example(make_bundle(4, -224 * 8), 6)  # i + j = 8: the zero of row 2 is its last entry, j = pairs
     def test_q_differences_are_the_exact_gluing_numbers(self, base, pairs):
         n, l = base.euler, base.pont
         ks = [l + 112 * n * j for j in range(pairs + 1)]
         report, rows = moduli._components_rows(base, pairs)
         seen, every_p_nonzero = [], True
         for i, ps in rows:
+            # a row has at most one p == 0, at j = -l/(56n) - i: the CLI patches that one verdict
+            if 0 in ps:
+                assert ps.count(0) == 1 and l % (56 * n) == 0
+                assert ps.index(0) + i + 1 == -l // (56 * n) - i
             for j, p in enumerate(ps, i + 1):
                 exact = Fraction(4 * (ks[i] ** 2 - ks[j] ** 2), n)
                 assert exact.denominator == 1
