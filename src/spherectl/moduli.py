@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .bundle import BundleClass
-from .classify import gz_family
+from .classify import _family_ks, gz_family
 from .exactnum import Rational, _Value
 
 __all__ = [
@@ -266,25 +266,25 @@ def infinite_components_report(
     The verdict "certified" requires every pair to separate; with pairs = 0
     there is nothing to check and the verdict is withheld.
 
-    Cost model: the report and its verdict come from _components_rows in
-    O(pairs), "certified" by its O(1) closed form.  The certificates are one
-    separation_certificate per pair (i, j), j walking the row of member i,
-    pairs*(pairs+1)/2 objects, each one Rational on native ints from the general
-    formula 4*(k0^2 - k1^2)/n and sharing the curvature tags.  The CLI renders
-    the rows instead.
+    Cost model: the verdict and the rest of the head come from _components_rows
+    in O(pairs), "certified" by its O(1) closed form.  The certificates are one
+    separation_certificate per pair (i, j), i < j <= pairs, pairs*(pairs+1)/2
+    objects, each one Rational on native ints from the general formula
+    4*(k0^2 - k1^2)/n and sharing the curvature tags.  The CLI renders the rows
+    of _components_rows instead.
     """
-    head, rows = _components_rows(b, pairs, include_scal)
-    family = head.family
+    head, _ = _components_rows(b, pairs, include_scal)
+    family = tuple(gz_family(b, pairs + 1))
     certificates = tuple(separation_certificate(family[i], family[j], include_scal)
-                         for i, ps in rows for j in range(i + 1, i + 1 + len(ps)))
-    return ComponentsReport(head.base, pairs, family, certificates, head.certified, head.banner,
-                            head.curvature_classes, head.note)
+                         for i in range(pairs) for j in range(i + 1, pairs + 1))
+    return ComponentsReport(b, pairs, family, certificates, head["certified"], head["banner"],
+                            _CURVATURE_CLASSES[bool(include_scal)], head["note"])
 
 
 def _components_rows(
     b: BundleClass, pairs: int, include_scal: bool = True
-) -> tuple[ComponentsReport, Iterator[tuple[int, list[int]]]]:
-    """The components report of the family of b, and its certificates as closed-form rows.
+) -> tuple[dict, Iterator[tuple[int, list[str], int | None]]]:
+    """The head of the components report of the family of b, and its certificates as closed-form rows.
 
     For the members k_i = l + 112n*i the gluing number has a closed form: with
     q[j] = (4*k_j^2 - 4*l^2)/n = 896*l*j + 50176*n*j^2, an integer,
@@ -295,37 +295,41 @@ def _components_rows(
     i + j = -l/(56n), so with pairs >= 1 some pair fails exactly when l < 0,
     56n | l and 1 <= -l/(56n) <= 2*pairs - 1, and certified is decided in O(1).
 
-    The report's certificates are (): the rows, the one enumeration of the pairs,
-    stand for them: a row (i, ps) per member i < pairs, never empty, with ps the
-    numerators p of p1sq_X of the pairs (i, j), j = i+1..pairs.  A pair separates
-    exactly when p != 0.  Cost: O(pairs) objects, then one subtraction per pair.
+    The head is ComponentsReport.to_dict() without its certificates, and with
+    family the range of the members' k: no BundleClass per member.  The rows, the
+    one enumeration of the pairs, stand for the certificates: a row
+    (i, ps, zero) per member i < pairs, never empty, with ps the decimal text of
+    the numerators p of p1sq_X of the pairs (i, j), j = i+1..pairs, from one
+    f-string per pair.  A pair separates exactly when p != 0, and a row holds at
+    most one p == 0, at j = -l/(56n) - i: zero is its index in ps, or None.
+    Cost: O(pairs) objects, then one subtraction and one f-string per pair.
     """
     if pairs < 0:
         raise ValueError("pairs must be nonnegative")
     n, l = b.euler, b.pont
-    family = tuple(gz_family(b, pairs + 1))
-    # some members have opposite parameters, k_i = -k_j with i + j = -l/(56n) >= 1
-    opposite = l < 0 and l % (56 * n) == 0
+    family = _family_ks(b, pairs + 1)
+    # some members have opposite parameters, k_i = -k_j with i + j = z = -l/(56n) >= 1
+    opposite, z = l < 0 and l % (56 * n) == 0, -l // (56 * n)
     if pairs == 0:
         certified: bool | None = None
     else:
-        certified = not (opposite and -l // (56 * n) <= 2 * pairs - 1)
-    report = ComponentsReport(
-        base=b,
-        pairs=pairs,
-        family=family,
-        certificates=(),
-        certified=certified,
-        banner=BANNER if certified else None,
-        curvature_classes=_CURVATURE_CLASSES[bool(include_scal)],
-        note=(INFINITUDE_NOTE if l > 0
-              else INFINITUDE_NOTE_OPPOSITE if opposite else INFINITUDE_NOTE_NONPOSITIVE),
-    )
+        certified = not (opposite and z <= 2 * pairs - 1)
+    head = {
+        "n": n,
+        "l": l,
+        "pairs": pairs,
+        "family": family,
+        "certified": certified,
+        "banner": BANNER if certified else None,
+        "curvature_classes": list(_CURVATURE_CLASSES[bool(include_scal)]),
+        "note": (INFINITUDE_NOTE if l > 0
+                 else INFINITUDE_NOTE_OPPOSITE if opposite else INFINITUDE_NOTE_NONPOSITIVE),
+    }
 
-    def rows() -> Iterator[tuple[int, list[int]]]:
+    def rows() -> Iterator[tuple[int, list[str], int | None]]:
         q = [896 * l * j + 50176 * n * j * j for j in range(pairs + 1)]
         for i in range(pairs):
-            qi = q[i]
-            yield i, [qi - qj for qj in q[i + 1:]]
+            qi, zero = q[i], z - 2 * i - 1  # the index of j = z - i in the row
+            yield i, [f"{qi - qj}" for qj in q[i + 1:]], zero if opposite and 0 <= zero < pairs - i else None
 
-    return report, rows()
+    return head, rows()

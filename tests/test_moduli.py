@@ -292,17 +292,20 @@ class TestClosedFormRows:
     @example(make_bundle(2, -112), 0, True)  # no member has a pair: no row
     @example(make_bundle(1, 3), 1, False)  # one row of one pair
     def test_rows_match_library_certificates(self, base, pairs, scal):
-        report, rows = moduli._components_rows(base, pairs, include_scal=scal)
+        head, rows = moduli._components_rows(base, pairs, include_scal=scal)
         ref = infinite_components_report(base, pairs, include_scal=scal)
-        assert report.certificates == ()
-        assert report.to_dict() == {**ref.to_dict(), "certificates": []}
+        # every head field the CLI prints, family as the range of the members' k
+        assert type(head["family"]) is range
+        assert {**head, "family": list(head["family"]), "certificates": []} == {**ref.to_dict(), "certificates": []}
         rows = list(rows)
         # one row per member i < pairs, holding its pairs - i pairs (i, j): never empty
-        assert [i for i, _ in rows] == list(range(pairs))
-        assert [len(ps) for _, ps in rows] == [pairs - i for i in range(pairs)]
-        assert all(ps for _, ps in rows)
-        got = [(report.family[i], report.family[j], Rational(p), DISTINCT_COMPONENTS if p != 0 else INCONCLUSIVE)
-               for i, ps in rows for j, p in enumerate(ps, i + 1)]
+        assert [i for i, _, _ in rows] == list(range(pairs))
+        assert [len(ps) for _, ps, _ in rows] == [pairs - i for i in range(pairs)]
+        assert all(ps for _, ps, _ in rows)
+        ks = head["family"]
+        got = [(make_bundle(base.euler, ks[i]), make_bundle(base.euler, ks[j]), Rational(int(p)),
+                INCONCLUSIVE if j - i - 1 == zero else DISTINCT_COMPONENTS)
+               for i, ps, zero in rows for j, p in enumerate(ps, i + 1)]
         assert got == [(*c.pair, c.glued.p1sq_X, c.verdict) for c in ref.certificates]
 
 
@@ -334,20 +337,23 @@ class TestQTable:
     def test_q_differences_are_the_exact_gluing_numbers(self, base, pairs):
         n, l = base.euler, base.pont
         ks = [l + 112 * n * j for j in range(pairs + 1)]
-        report, rows = moduli._components_rows(base, pairs)
+        head, rows = moduli._components_rows(base, pairs)
         seen, every_p_nonzero = [], True
-        for i, ps in rows:
-            # a row has at most one p == 0, at j = -l/(56n) - i: the CLI patches that one verdict
-            if 0 in ps:
-                assert ps.count(0) == 1 and l % (56 * n) == 0
-                assert ps.index(0) + i + 1 == -l // (56 * n) - i
+        for i, ps, zero in rows:
+            # a row has at most one p == 0, at j = -l/(56n) - i: the CLI patches the verdict at
+            # its closed-form index zero, and a row with no p == 0 has zero None
+            assert ps.count("0") == (zero is not None)
+            if zero is not None:
+                assert ps[zero] == "0" and l % (56 * n) == 0
+                assert zero + i + 1 == -l // (56 * n) - i
             for j, p in enumerate(ps, i + 1):
                 exact = Fraction(4 * (ks[i] ** 2 - ks[j] ** 2), n)
                 assert exact.denominator == 1
-                assert type(p) is int and p == exact
-                assert (p == 0) is (ks[i] == -ks[j])
+                # p is the canonical decimal text of the exact integer
+                assert p == str(int(p)) and int(p) == exact
+                assert (p == "0") is (ks[i] == -ks[j])
                 seen.append((i, j))
-                every_p_nonzero = every_p_nonzero and p != 0
+                every_p_nonzero = every_p_nonzero and p != "0"
         assert seen == [(i, j) for i in range(pairs + 1) for j in range(i + 1, pairs + 1)]
         if pairs >= 1:
-            assert report.certified is every_p_nonzero
+            assert head["certified"] is every_p_nonzero
