@@ -142,7 +142,7 @@ def _row_pieces(sample: dict) -> list[str]:
     return text.replace(f'"{slot}"', slot).split(slot)
 
 
-def _emit_json(payload: dict, key: str | None = None, rows: Iterable[str] = (), fill: str = "") -> None:
+def _emit_json(payload: dict, key: str | None = None, rows: Iterable[str] = ()) -> None:
     """Print json.dumps(payload, indent=2, sort_keys=True), the one JSON writer of
     every report.  Given a top-level key, the list at that key is written row by
     row from rows, so the report is never held in memory whole.
@@ -156,12 +156,9 @@ def _emit_json(payload: dict, key: str | None = None, rows: Iterable[str] = (), 
     dumps one sample item once, with a _MARK in each field that varies, and
     cuts it at the markers into constant pieces c0, c1, ...  With sorted keys an
     item reads c0 v0 c1 v1 ... for its varying values in key order, so an item is
-    one f-string and no template is parsed per item.  A string _MARK in the
-    payload prints as the JSON text fill, which the caller renders (the list of
-    family members of components).
+    one f-string and no template is parsed per item.
     """
     text = json.dumps(payload if key is None else {**payload, key: []}, indent=2, sort_keys=True)
-    text = text.replace(json.dumps(_MARK), fill)
     rows = iter(rows)
     first = next(rows, None)
     out = sys.stdout
@@ -172,19 +169,6 @@ def _emit_json(payload: dict, key: str | None = None, rows: Iterable[str] = (), 
     out.write(f'{head}"{key}": [{first[1:]}')
     out.writelines(rows)
     out.write(f"\n  ]{tail}\n")
-
-
-@functools.lru_cache(maxsize=None)
-def _certificate_pieces(n: int, scal: bool, quote: bool) -> tuple[str, ...]:
-    """The pieces of a components certificate in JSON (see _row_pieces), cut at k0, k1, the
-    two GZ(k) labels, n, p and the verdict.  Besides scal and the provenance only the
-    derivation note of n > 1 changes them, so they are built once per process per flag
-    triple, n = 2 standing for every n > 1."""
-    b = make_bundle(n, n)
-    sample = separation_certificate(b, b, scal).to_dict(quote)
-    sample.update(k0=_MARK, k1=_MARK, metric_labels=[f"GZ({_MARK})"] * 2, n=_MARK, p1sq_X=f"{_MARK}/1",
-                  verdict=_MARK)
-    return tuple(_row_pieces(sample))
 
 
 def _cmd_components(args: argparse.Namespace, fmt: str) -> int:
@@ -219,30 +203,30 @@ def _cmd_components(args: argparse.Namespace, fmt: str) -> int:
             sys.stdout.write("".join(parts))
         print(report["note"])
     else:
-        # a certificate reads c0 k_i c1 k_j c2 k_i c3 k_j c4 n c5 p c6 verdict c7, its pieces built once
-        # per process per flag triple (n = 1 or n > 1, scal, quote).  Member i's m certificates are the
-        # pieces [c0 k_i c1, k_j, c2 k_i c3, k_j c4 n c5, p, c6 "DistinctComponents" c7] repeated m times,
-        # the columns k_j, k_j c4 n c5 and p (the rows' text, one f-string per pair) filled by slice, the
-        # verdict at the row's closed-form zero index patched, and all joined once: the CLI runs no
-        # Python code of its own per pair.  The members are text from their range, no BundleClass
-        # each, and the head's family list is that text joined, not encoded by json
-        c0, c1, c2, c3, c4, c5, c6, c7 = _certificate_pieces(min(args.n, 2), args.scal, args.quote_provenance)
+        # a certificate reads c0 k_i c1 k_j c2 k_i c3 k_j c4 p c5 verdict c6.  Member i's m certificates
+        # are the pieces [c0 k_i c1, k_j, c2 k_i c3, k_j c4, p, c5 "DistinctComponents" c6] repeated m
+        # times, the columns k_j, k_j c4 and p (the rows' text, one f-string per pair) filled by slice,
+        # the verdict at the row's closed-form zero index patched, and all joined once: the CLI runs no
+        # Python code of its own per pair.  The members are text from the head's k, no BundleClass each
+        sample = separation_certificate(b, b, args.scal).to_dict(args.quote_provenance)
+        sample.update(k0=_MARK, k1=_MARK, metric_labels=[f"GZ({_MARK})"] * 2, p1sq_X=f"{_MARK}/1", verdict=_MARK)
+        c0, c1, c2, c3, c4, c5, c6 = _row_pieces(sample)
         heads = [f"{c0}{k}{c1}" for k in ks]
         mids = [f"{c2}{k}{c3}" for k in ks]
-        kns = [f"{k}{c4}{args.n}{c5}" for k in ks]
-        inconclusive, distinct = (f'{c6}"{v}"{c7}' for v in _SEPARATION_VERDICTS)
+        kc4s = [f"{k}{c4}" for k in ks]
+        inconclusive, distinct = (f'{c5}"{v}"{c6}' for v in _SEPARATION_VERDICTS)
 
         def certificates() -> Iterator[str]:
             for (i, ps, zero), head, mid in zip(rows, heads, mids):
                 parts = [head, None, mid, None, None, distinct] * len(ps)
                 parts[1::6] = ks[i + 1:]
-                parts[3::6] = kns[i + 1:]
+                parts[3::6] = kc4s[i + 1:]
                 parts[4::6] = ps
                 if zero is not None:
                     parts[6 * zero + 5] = inconclusive
                 yield "".join(parts)
 
-        _emit_json({**report, "family": [_MARK]}, "certificates", certificates(), ",\n    ".join(ks))
+        _emit_json(report, "certificates", certificates())
     return EXIT_CODES[DISTINCT_COMPONENTS if report["certified"] else INCONCLUSIVE]
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .bundle import BundleClass
-from .classify import _family_ks, gz_family
+from .classify import _family_ks
 from .exactnum import Rational, _Value
 
 __all__ = [
@@ -244,17 +244,29 @@ class ComponentsReport(_Value):
         object.__setattr__(self, "note", note)
 
     def to_dict(self, quote_provenance: bool = False) -> dict:
-        return {
-            "n": self.base.euler,
-            "l": self.base.pont,
-            "pairs": self.pairs,
-            "family": [b.pont for b in self.family],
-            "certificates": [c.to_dict(quote_provenance) for c in self.certificates],
-            "certified": self.certified,
-            "banner": self.banner,
-            "curvature_classes": list(self.curvature_classes),
-            "note": self.note,
-        }
+        return _components_dict(self.base, self.pairs, [b.pont for b in self.family],
+                                [c.to_dict(quote_provenance) for c in self.certificates], self.certified,
+                                self.banner, self.curvature_classes, self.note)
+
+
+def _components_dict(
+    base: BundleClass, pairs: int, family: list[int], certificates: list[dict], certified: bool | None,
+    banner: str | None, curvature_classes: tuple[str, ...], note: str,
+) -> dict:
+    """The JSON form of a components report from its fields, family the members' k and
+    certificates their dicts: the one owner of its keys, for ComponentsReport.to_dict and
+    for _components_head, which builds no ComponentsReport."""
+    return {
+        "n": base.euler,
+        "l": base.pont,
+        "pairs": pairs,
+        "family": family,
+        "certificates": certificates,
+        "certified": certified,
+        "banner": banner,
+        "curvature_classes": list(curvature_classes),
+        "note": note,
+    }
 
 
 def infinite_components_report(
@@ -266,25 +278,31 @@ def infinite_components_report(
     The verdict "certified" requires every pair to separate; with pairs = 0
     there is nothing to check and the verdict is withheld.
 
-    Cost model: the verdict and the rest of the head come from _components_rows
+    Cost model: the verdict and the rest of the head come from _components_head
     in O(pairs), "certified" by its O(1) closed form.  The certificates are one
     separation_certificate per pair (i, j), i < j <= pairs, pairs*(pairs+1)/2
     objects, each one Rational on native ints from the general formula
     4*(k0^2 - k1^2)/n and sharing the curvature tags.  The CLI renders the rows
     of _components_rows instead.
     """
-    head, _ = _components_rows(b, pairs, include_scal)
-    family = tuple(gz_family(b, pairs + 1))
+    head = _components_head(b, pairs, include_scal)
+    family = tuple(BundleClass(b.euler, k) for k in head["family"])
     certificates = tuple(separation_certificate(family[i], family[j], include_scal)
                          for i in range(pairs) for j in range(i + 1, pairs + 1))
     return ComponentsReport(b, pairs, family, certificates, head["certified"], head["banner"],
                             _CURVATURE_CLASSES[bool(include_scal)], head["note"])
 
 
-def _components_rows(
-    b: BundleClass, pairs: int, include_scal: bool = True
-) -> tuple[dict, Iterator[tuple[int, list[str], int | None]]]:
-    """The head of the components report of the family of b, and its certificates as closed-form rows.
+def _opposite_sum(b: BundleClass) -> int:
+    """-l/(56n) when 56n | l, else 0.  Members i < j of the family of b have opposite
+    parameters k_i = -k_j exactly when this sum is positive and i + j equals it."""
+    n, l = b.euler, b.pont
+    return -l // (56 * n) if l % (56 * n) == 0 else 0
+
+
+def _components_head(b: BundleClass, pairs: int, include_scal: bool = True) -> dict:
+    """ComponentsReport.to_dict() of the family of b without its certificates, from the
+    members' k (no BundleClass per member), with certified, banner and note in O(1).
 
     For the members k_i = l + 112n*i the gluing number has a closed form: with
     q[j] = (4*k_j^2 - 4*l^2)/n = 896*l*j + 50176*n*j^2, an integer,
@@ -294,42 +312,36 @@ def _components_rows(
     so p1sq_X is always the Rational p/1 for an int p.  It is zero exactly when
     i + j = -l/(56n), so with pairs >= 1 some pair fails exactly when l < 0,
     56n | l and 1 <= -l/(56n) <= 2*pairs - 1, and certified is decided in O(1).
-
-    The head is ComponentsReport.to_dict() without its certificates, and with
-    family the range of the members' k: no BundleClass per member.  The rows, the
-    one enumeration of the pairs, stand for the certificates: a row
-    (i, ps, zero) per member i < pairs, never empty, with ps the decimal text of
-    the numerators p of p1sq_X of the pairs (i, j), j = i+1..pairs, from one
-    f-string per pair.  A pair separates exactly when p != 0, and a row holds at
-    most one p == 0, at j = -l/(56n) - i: zero is its index in ps, or None.
-    Cost: O(pairs) objects, then one subtraction and one f-string per pair.
     """
     if pairs < 0:
         raise ValueError("pairs must be nonnegative")
-    n, l = b.euler, b.pont
-    family = _family_ks(b, pairs + 1)
-    # some members have opposite parameters, k_i = -k_j with i + j = z = -l/(56n) >= 1
-    opposite, z = l < 0 and l % (56 * n) == 0, -l // (56 * n)
-    if pairs == 0:
-        certified: bool | None = None
-    else:
-        certified = not (opposite and z <= 2 * pairs - 1)
-    head = {
-        "n": n,
-        "l": l,
-        "pairs": pairs,
-        "family": family,
-        "certified": certified,
-        "banner": BANNER if certified else None,
-        "curvature_classes": list(_CURVATURE_CLASSES[bool(include_scal)]),
-        "note": (INFINITUDE_NOTE if l > 0
-                 else INFINITUDE_NOTE_OPPOSITE if opposite else INFINITUDE_NOTE_NONPOSITIVE),
-    }
+    family, z = list(_family_ks(b, pairs + 1)), _opposite_sum(b)
+    certified = None if pairs == 0 else not 0 < z <= 2 * pairs - 1
+    note = INFINITUDE_NOTE if b.pont > 0 else INFINITUDE_NOTE_OPPOSITE if z > 0 else INFINITUDE_NOTE_NONPOSITIVE
+    return _components_dict(b, pairs, family, [], certified, BANNER if certified else None,
+                            _CURVATURE_CLASSES[bool(include_scal)], note)
+
+
+def _components_rows(
+    b: BundleClass, pairs: int, include_scal: bool = True
+) -> tuple[dict, Iterator[tuple[int, list[str], int | None]]]:
+    """_components_head(b, pairs, include_scal), and the certificates as closed-form rows.
+
+    The rows, the one enumeration of the pairs, stand for the certificates: a
+    row (i, ps, zero) per member i < pairs, never empty, with ps the decimal
+    text of the numerators p = q[i] - q[j] of p1sq_X of the pairs (i, j),
+    j = i+1..pairs (see _components_head), from one f-string per pair.  A pair
+    separates exactly when p != 0, and a row holds at most one p == 0, at
+    j = -l/(56n) - i: zero is its index in ps, or None.  Cost: O(pairs)
+    objects, then one subtraction and one f-string per pair.
+    """
+    head = _components_head(b, pairs, include_scal)
+    n, l, z = b.euler, b.pont, _opposite_sum(b)
 
     def rows() -> Iterator[tuple[int, list[str], int | None]]:
         q = [896 * l * j + 50176 * n * j * j for j in range(pairs + 1)]
         for i in range(pairs):
-            qi, zero = q[i], z - 2 * i - 1  # the index of j = z - i in the row
-            yield i, [f"{qi - qj}" for qj in q[i + 1:]], zero if opposite and 0 <= zero < pairs - i else None
+            qi, zero = q[i], z - 2 * i - 1  # the index of j = z - i in the row, < 0 with z <= 0
+            yield i, [f"{qi - qj}" for qj in q[i + 1:]], zero if 0 <= zero < pairs - i else None
 
     return head, rows()

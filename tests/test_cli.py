@@ -633,10 +633,9 @@ class TestComponentsRenderer:
 
     @pytest.mark.parametrize("fmt, certificates", [("json", 1), ("pretty", 0)])
     def test_cli_cost_is_linear_in_pairs(self, monkeypatch, fmt, certificates):
-        # components is O(pairs): it builds the base bundle, no BundleClass per member, and
-        # one row per member i < pairs, while it prints 150*151/2 certificates.  On a cold
-        # piece cache the JSON output also builds one sample certificate from one sample
-        # bundle with its one Rational; on a warm cache it builds neither
+        # components is O(pairs): it builds the base bundle, no BundleClass per member, no more
+        # than the one sample certificate of the JSON output (of the base) with its one
+        # Rational, and one row per member i < pairs, while it prints 150*151/2 certificates
         built = {"BundleClass": 0, "SeparationCertificate": 0, "Rational": 0}
         for cls in (bundle.BundleClass, moduli.SeparationCertificate, exactnum.Rational):
             def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
@@ -652,34 +651,11 @@ class TestComponentsRenderer:
             return report, (yielded.append(row) or row for row in rows)
 
         monkeypatch.setattr(cli, "_components_rows", counting_rows)
-        cli._certificate_pieces.cache_clear()
-        for sample in (certificates, 0):
-            built.update(dict.fromkeys(built, 0))
-            yielded.clear()
-            code, out = capture_main(["components", "--n", "3", "--l", "1", "--pairs", "150", "--format", fmt])
-            assert code == 0
-            assert out.count("DistinctComponents") == 150 * 151 // 2
-            assert built == {"BundleClass": 1 + sample, "SeparationCertificate": sample, "Rational": sample}
-            assert len(yielded) == 150
-
-    def test_certificate_pieces_are_keyed_by_every_flag(self):
-        # the pieces of a JSON certificate are cached per (n = 1 or n > 1, scal, quote): calls that
-        # differ only in n = 1 vs n > 1, --no-scal and --quote-provenance, interleaved in one
-        # process, each print the library report; the n > 1 calls take n = 3, then n = 2 with
-        # opposite members on a warm cache, so n is never baked into the pieces
-        cli._certificate_pieces.cache_clear()
-        triples = [(unit, scal, quote) for unit in (True, False) for scal in (True, False) for quote in (False, True)]
-        for bases in (((1, 3), (3, 1)), ((1, -3), (2, -112 * 3))):
-            for unit, scal, quote in triples + triples[::-1]:
-                n, l = bases[0] if unit else bases[1]
-                argv = ["components", "--n", str(n), "--l", str(l), "--pairs", "4"]
-                argv += ["--quote-provenance"] if quote else []
-                argv += [] if scal else ["--no-scal"]
-                code, out = capture_main(argv)
-                report = infinite_components_report(make_bundle(n, l), 4, include_scal=scal)
-                assert out == json.dumps(report.to_dict(quote), indent=2, sort_keys=True) + "\n"
-                assert code == (0 if report.certified else 3)
-        assert cli._certificate_pieces.cache_info().currsize == 8
+        code, out = capture_main(["components", "--n", "3", "--l", "1", "--pairs", "150", "--format", fmt])
+        assert code == 0
+        assert out.count("DistinctComponents") == 150 * 151 // 2
+        assert built == {"BundleClass": 1, "SeparationCertificate": certificates, "Rational": certificates}
+        assert len(yielded) == 150
 
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
     def test_cli_bytecode_is_linear_in_pairs(self, fmt):
