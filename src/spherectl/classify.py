@@ -23,7 +23,7 @@ from collections.abc import Iterable
 
 from .bundle import BundleClass
 from .exactnum import QmodZ, Residue, _Value
-from .space import _MU_NUM, _MU_NUM_FOLDED
+from .space import _MU, _MU_NUM, _MU_NUM_FOLDED
 
 __all__ = [
     "CensusClass", "CensusReport", "DiffeoVerdict", "Theta7Element", "census", "gz_family", "homeomorphic",
@@ -248,15 +248,17 @@ def _census_firsts(n: int, k_from: int, k_to: int) -> range:
 
 def _census_rows(
     n: int, k_from: int, k_to: int, unoriented: bool = False
-) -> tuple[CensusReport, Iterable[tuple[tuple[int, ...], QmodZ | None]]]:
-    """The census report with classes=(), and its classes as rows (firsts, mu) in
-    the order of their representatives firsts[0]; census states the cost model.
+) -> tuple[CensusReport, Iterable[tuple[tuple[int, ...], int, QmodZ | None]]]:
+    """The census report with classes=(), and its classes as rows (firsts, count, mu)
+    in the order of their representatives firsts[0]; census states the cost model.
 
     firsts holds the first member f of each residue mod 112n in the class, whose
-    members are range(f, k_to + 1, 112n); mu is the class's mu for n = 1, else
-    None.  For n > 1 each residue is a class and the rows are a generator.  For
-    n = 1 the residues are grouped by the numerator x of mu = x/224 mod 1, from the
-    table the sphere rules key on, and mu is built once per class.
+    members are range(f, k_to + 1, 112n), so count is the closed form
+    (k_to - f)//112n + 1 summed over firsts; mu is the class's mu for n = 1, else
+    None.  For n > 1 each residue is a class, count is one term and the rows are a
+    generator.  For n = 1 the residues are grouped by the numerator x of
+    mu = x/224 mod 1, from the table the sphere rules key on, and mu is the shared
+    value space._MU[x]: a row builds no QmodZ.
     """
     if n <= 0:
         raise ValueError("census requires n > 0")
@@ -269,15 +271,15 @@ def _census_rows(
     q, s = divmod(valid, 56 * n)
     unknown = 0 if n == 1 else valid * (valid - 1) // 2 - s * q * (q + 1) // 2 - (56 * n - s) * q * (q - 1) // 2
     head = CensusReport(n, k_from, k_to, unoriented, (k_to - k_from + 1) - valid, (), unknown)
-    firsts = _census_firsts(n, k_from, k_to)
+    firsts, step = _census_firsts(n, k_from, k_to), 112 * n
     if n > 1:
-        return head, (((first,), None) for first in firsts)
+        return head, (((f,), (k_to - f) // step + 1, None) for f in firsts)
     table = _MU_NUM_FOLDED if unoriented else _MU_NUM
     groups: dict[int, list[int]] = {}
     for first in firsts:
         groups.setdefault(table[first % 112], []).append(first)
     # the first members ascend, so the groups come in the order of their representatives
-    return head, [(tuple(group), QmodZ(x, 224)) for x, group in groups.items()]
+    return head, [(tuple(group), sum((k_to - f) // step + 1 for f in group), _MU[x]) for x, group in groups.items()]
 
 
 def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusReport:
@@ -291,9 +293,9 @@ def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusRe
     Cost model: O(min(window length, 112n)).  Both keys depend only on k mod 112n
     (mu has period 112), so _census_rows visits each residue r == n (mod 2) that
     occurs in the window once, at its first member (_census_firsts): one table
-    lookup for n = 1, one QmodZ per class, and closed-form counts.
+    lookup for n = 1, the shared mu values of space._MU, and closed-form counts.
     """
     head, rows = _census_rows(n, k_from, k_to, unoriented)
     step, stop = 112 * n, k_to + 1
-    classes = tuple(CensusClass(firsts[0], tuple(range(f, stop, step) for f in firsts), mu) for firsts, mu in rows)
+    classes = tuple(CensusClass(fs[0], tuple(range(f, stop, step) for f in fs), mu) for fs, _, mu in rows)
     return CensusReport(n, k_from, k_to, unoriented, head.skipped, classes, head.unknown_pairs_count)

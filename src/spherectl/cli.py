@@ -142,6 +142,10 @@ def _row_pieces(sample: dict) -> list[str]:
     return text.replace(f'"{slot}"', slot).split(slot)
 
 
+# the pieces of a census class, built once per process
+_CENSUS_PIECES = _row_pieces(dict.fromkeys(("members_count", "mu", "representative"), _MARK))
+
+
 def _emit_json(payload: dict, key: str | None = None, rows: Iterable[str] = ()) -> None:
     """Print json.dumps(payload, indent=2, sort_keys=True), the one JSON writer of
     every report.  Given a top-level key, the list at that key is written row by
@@ -243,22 +247,20 @@ def _cmd_census(args: argparse.Namespace, fmt: str) -> int:
     _check_output_size(classes, {"json": 86, "tsv": 10, "pretty": 27}[fmt], k, args.k_to - args.k_from + 1)
     head, rows = _census_rows(args.n, args.k_from, args.k_to, args.unoriented)
     classes = len(rows) if args.n == 1 else classes
-    # (representative, members_count, mu) per row: a first f has the members range(f, k_to + 1, 112n)
-    step, k_to = 112 * args.n, args.k_to
-    cells = ((group[0], sum((k_to - f) // step + 1 for f in group), mu) for group, mu in rows)
+    # a row (firsts, members_count, mu) prints its representative firsts[0], the count and mu
     out = sys.stdout
     if fmt == "tsv":
         out.write("representative\tmembers_count\tmu\n")
-        out.writelines(f"{r}\t{c}\t{'-' if mu is None else mu}\n" for r, c, mu in cells)
+        out.writelines(f"{fs[0]}\t{c}\t{'-' if mu is None else mu}\n" for fs, c, mu in rows)
     elif fmt == "pretty":
         out.write(f"n={head.n} range=[{head.k_from}, {head.k_to}] classes={classes} skipped={head.skipped} "
                   f"unknown_pairs={head.unknown_pairs_count}\n")
-        out.writelines(f"  k={r}: {c} members, mu={'-' if mu is None else mu}\n" for r, c, mu in cells)
+        out.writelines(f"  k={fs[0]}: {c} members, mu={'-' if mu is None else mu}\n" for fs, c, mu in rows)
     else:
-        c0, c1, c2, c3 = _row_pieces(dict.fromkeys(("members_count", "mu", "representative"), _MARK))
+        c0, c1, c2, c3 = _CENSUS_PIECES
         quote = '"{}"'.format
         _emit_json(head.to_dict(), "classes", (
-            f"{c0}{c}{c1}{'null' if mu is None else quote(mu)}{c2}{r}{c3}" for r, c, mu in cells
+            f"{c0}{c}{c1}{'null' if mu is None else quote(mu)}{c2}{fs[0]}{c3}" for fs, c, mu in rows
         ))
     return 0
 

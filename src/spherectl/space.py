@@ -90,6 +90,8 @@ def p1_squared_W(b: BundleClass) -> Rational:
 # _MU_NUM[k % 112], and that of mu(k) folded with -mu(k) is _MU_NUM_FOLDED[k % 112]
 _MU_NUM = tuple((r * r - 1) % 224 for r in range(112))
 _MU_NUM_FOLDED = tuple(min(x, -x % 224) for x in _MU_NUM)
+# mu = x/224 mod 1 for each numerator x of either table, built once and shared (QmodZ is immutable)
+_MU = {x: QmodZ(x, 224) for x in {*_MU_NUM, *_MU_NUM_FOLDED}}
 
 
 def mu_invariant(b: BundleClass, o: Orientation = POSITIVE) -> QmodZ:

@@ -469,12 +469,13 @@ class TestCensusClosedForm:
         # n = 1 census rows group the residues by the integer mu table the deciders key on;
         # over all 56 x 56 pairs of odd residues mod 112, two share a row exactly when their
         # mu from the Rational index formula (folded when unoriented) are equal, which is
-        # when the decider says Yes, and a row's mu is that of its members
+        # when the decider says Yes, and a row's mu is that of its members and its count
+        # that of the library class
         decide = unoriented_diffeomorphic if unoriented else oriented_diffeomorphic
         _, rows = classify._census_rows(1, k_from, k_from + 111, unoriented)
-        row_of = {f % 112: i for i, (firsts, _) in enumerate(rows) for f in firsts}
+        row_of = {f % 112: i for i, (firsts, _, _) in enumerate(rows) for f in firsts}
         ref = {}
-        for firsts, _ in rows:
+        for firsts, _, _ in rows:
             for f in firsts:
                 mu = mu_index_formula(BundleClass(1, f))
                 ref[f % 112] = fold_orientation(mu) if unoriented else mu
@@ -484,6 +485,11 @@ class TestCensusClosedForm:
                 assert (row_of[r1] == row_of[r2]) == (ref[r1] == ref[r2])
                 verdict = decide(BundleClass(1, r1), BundleClass(1, r2))
                 assert (row_of[r1] == row_of[r2]) == (verdict.answer == YES)
-        for firsts, mu in rows:
+        for firsts, _, mu in rows:
             assert all(mu == ref[f % 112] for f in firsts)
         assert len(rows) == (11 if unoriented else 16)
+        # in this window and in one where residues have different member counts
+        for k_to in (k_from + 111, k_from + 10**6 + 37):
+            _, rows = classify._census_rows(1, k_from, k_to, unoriented)
+            classes = census(1, k_from, k_to, unoriented).classes
+            assert [(fs[0], count) for fs, count, _ in rows] == [(c.representative, c.members_count) for c in classes]

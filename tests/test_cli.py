@@ -8,7 +8,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from spherectl import bundle, classify, cli, exactnum, moduli
 from spherectl.bundle import make_bundle
@@ -473,6 +473,16 @@ def capture_main(argv: list[str]) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """assert got == want, reported at the first differing line: pytest's own report of two
+    unequal texts or tuples diffs them whole (tuples only when CI is set), which takes minutes
+    for reports of megabytes."""
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    first = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b), None)
+    assert first is None, f"line {first + 1}: {got_lines[first]!r} != {want_lines[first]!r}"
+    assert len(got_lines) == len(want_lines)
+
+
 @st.composite
 def components_inputs(draw):
     n = draw(st.sampled_from((1, 2, 3, 5, 10)))
@@ -506,7 +516,8 @@ def components_pretty_reference(n: int, l: int, pairs: int, quote: bool, scal: b
 class TestComponentsRenderer:
     """The per-report template renderer against the to_dict + json.dumps reference."""
 
-    @settings(max_examples=150, deadline=None)
+    # no shrink phase, so that a failure is reported within seconds, not after shrinking large reports
+    @settings(max_examples=150, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
     @given(components_inputs(), st.booleans(), st.booleans())
     @example((2, -112, 2), False, True)
     @example((10, -1120, 8), True, False)
@@ -525,7 +536,7 @@ class TestComponentsRenderer:
         argv += [] if scal else ["--no-scal"]
         code, out = capture_main(argv)
         report = infinite_components_report(make_bundle(n, l), pairs, include_scal=scal)
-        assert out == json.dumps(report.to_dict(quote), indent=2, sort_keys=True) + "\n"
+        assert_same_text(out, json.dumps(report.to_dict(quote), indent=2, sort_keys=True) + "\n")
         assert code == (0 if report.certified else 3)
 
     # pretty output as the parent of the template renderer printed it; the last
@@ -719,6 +730,17 @@ class TestListRenderers:
     @example((7, 10**60 - 1, 10**60 + 700), False, "json")
     @example((1786, 1, 1500), False, "json")
     @example((1786, 1, 200_000), False, "pretty")  # the class limit, header line included
+    # valid = 56n*q - 1, 56n*q and 56n*q + 1, where the first s residues switch from q + 1 to q
+    # members, with k_to a valid k or one past it
+    @example((2, -301, 144), False, "json")
+    @example((2, -301, 147), True, "tsv")
+    @example((2, -301, 149), False, "pretty")
+    @example((3, 10**20 + 1, 10**20 + 334), True, "tsv")
+    @example((3, 10**20 + 1, 10**20 + 335), False, "pretty")
+    @example((3, 10**20 + 1, 10**20 + 338), True, "json")
+    @example((7, -50, 732), False, "pretty")
+    @example((7, -50, 733), True, "json")
+    @example((7, -50, 736), False, "tsv")
     def test_census_json_matches_reference(self, inputs, unoriented, fmt):
         n, k_from, k_to = inputs
         argv = ["census", "--n", str(n), "--from", str(k_from), "--to", str(k_to), "--format", fmt]
@@ -739,7 +761,8 @@ class TestListRenderers:
                  f"unknown_pairs={payload['unknown_pairs_count']}"]
                 + [f"  k={c['representative']}: {c['members_count']} members, mu={c['mu'] or '-'}" for c in classes]
             )
-        assert (code, out) == (0, expected + "\n")
+        assert code == 0
+        assert_same_text(out, expected + "\n")
 
     @pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
     @pytest.mark.parametrize("n, k_from, k_to", [(1, -1000, 1000), (3, -1000, 1000)])
@@ -751,9 +774,14 @@ class TestListRenderers:
                 _init(self, *args)
 
             monkeypatch.setattr(cls, "__init__", counting_init)
+        # nor any QmodZ: mu is one of the shared values of space._MU
+        mus = []
+        qmodz_init = exactnum.QmodZ.__init__
+        monkeypatch.setattr(exactnum.QmodZ, "__init__", lambda self, *args: mus.append(args) or qmodz_init(self, *args))
         code, out = capture_main(["census", "--n", str(n), "--from", str(k_from), "--to", str(k_to), "--format", fmt])
         assert code == 0 and out
         assert built == {"CensusClass": 0, "BundleClass": 0}
+        assert mus == []
         # the library report builds one class object per class, and still no bundle
         report = census(n, k_from, k_to)
         assert built == {"CensusClass": len(report.classes), "BundleClass": 0}
