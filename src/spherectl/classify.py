@@ -23,7 +23,7 @@ from collections.abc import Iterable
 
 from .bundle import BundleClass
 from .exactnum import QmodZ, Residue, _Value
-from .space import _MU, _MU_NUM, _MU_NUM_FOLDED
+from .space import _MU_NUM, _MU_NUM_FOLDED, _mu
 
 __all__ = [
     "CensusClass", "CensusReport", "DiffeoVerdict", "Theta7Element", "census", "gz_family", "homeomorphic",
@@ -258,7 +258,7 @@ def _census_rows(
     None.  For n > 1 each residue is a class, count is one term and the rows are a
     generator.  For n = 1 the residues are grouped by the numerator x of
     mu = x/224 mod 1, from the table the sphere rules key on, and mu is the shared
-    value space._MU[x]: a row builds no QmodZ.
+    value space._mu(x), built once per process: a later census builds no QmodZ.
     """
     if n <= 0:
         raise ValueError("census requires n > 0")
@@ -279,7 +279,7 @@ def _census_rows(
     for first in firsts:
         groups.setdefault(table[first % 112], []).append(first)
     # the first members ascend, so the groups come in the order of their representatives
-    return head, [(tuple(group), sum((k_to - f) // step + 1 for f in group), _MU[x]) for x, group in groups.items()]
+    return head, [(tuple(group), sum((k_to - f) // step + 1 for f in group), _mu(x)) for x, group in groups.items()]
 
 
 def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusReport:
@@ -293,7 +293,7 @@ def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusRe
     Cost model: O(min(window length, 112n)).  Both keys depend only on k mod 112n
     (mu has period 112), so _census_rows visits each residue r == n (mod 2) that
     occurs in the window once, at its first member (_census_firsts): one table
-    lookup for n = 1, the shared mu values of space._MU, and closed-form counts.
+    lookup for n = 1, the shared mu values of space._mu, and closed-form counts.
     """
     head, rows = _census_rows(n, k_from, k_to, unoriented)
     step, stop = 112 * n, k_to + 1

@@ -142,8 +142,8 @@ def _row_pieces(sample: dict) -> list[str]:
     return text.replace(f'"{slot}"', slot).split(slot)
 
 
-# the pieces of a census class, built once per process
-_CENSUS_PIECES = _row_pieces(dict.fromkeys(("members_count", "mu", "representative"), _MARK))
+# the pieces of a census class, cut on first use and kept for the process's later censuses
+_census_pieces = functools.cache(lambda: _row_pieces(dict.fromkeys(("members_count", "mu", "representative"), _MARK)))
 
 
 def _emit_json(payload: dict, key: str | None = None, rows: Iterable[str] = ()) -> None:
@@ -257,7 +257,7 @@ def _cmd_census(args: argparse.Namespace, fmt: str) -> int:
                   f"unknown_pairs={head.unknown_pairs_count}\n")
         out.writelines(f"  k={fs[0]}: {c} members, mu={'-' if mu is None else mu}\n" for fs, c, mu in rows)
     else:
-        c0, c1, c2, c3 = _CENSUS_PIECES
+        c0, c1, c2, c3 = _census_pieces()
         quote = '"{}"'.format
         _emit_json(head.to_dict(), "classes", (
             f"{c0}{c}{c1}{'null' if mu is None else quote(mu)}{c2}{fs[0]}{c3}" for fs, c, mu in rows

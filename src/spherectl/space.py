@@ -18,6 +18,8 @@ of -1 reverses that choice, which negates sign(W), p1^2[W] and mu.
 
 from __future__ import annotations
 
+import functools
+
 from .bundle import BundleClass, Orientation, POSITIVE
 from .exactnum import QmodZ, Rational, _Value, qmodz_neg
 
@@ -90,8 +92,9 @@ def p1_squared_W(b: BundleClass) -> Rational:
 # _MU_NUM[k % 112], and that of mu(k) folded with -mu(k) is _MU_NUM_FOLDED[k % 112]
 _MU_NUM = tuple((r * r - 1) % 224 for r in range(112))
 _MU_NUM_FOLDED = tuple(min(x, -x % 224) for x in _MU_NUM)
-# mu = x/224 mod 1 for each numerator x of either table, built once and shared (QmodZ is immutable)
-_MU = {x: QmodZ(x, 224) for x in {*_MU_NUM, *_MU_NUM_FOLDED}}
+# mu = x/224 mod 1 for a numerator x of either table, built on first use and shared
+# (QmodZ is immutable): a process that runs many censuses builds each value once
+_mu = functools.cache(lambda x: QmodZ(x, 224))
 
 
 def mu_invariant(b: BundleClass, o: Orientation = POSITIVE) -> QmodZ:

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from spherectl import bundle, classify, cli, exactnum, moduli
+from spherectl import bundle, classify, cli, exactnum, moduli, space
 from spherectl.bundle import make_bundle
 from spherectl.classify import census
 from spherectl.cli import main
@@ -774,12 +774,19 @@ class TestListRenderers:
                 _init(self, *args)
 
             monkeypatch.setattr(cls, "__init__", counting_init)
-        # nor any QmodZ: mu is one of the shared values of space._MU
+        # mu is a shared value of space._mu: a census builds one QmodZ per class whose mu the
+        # process has not built yet, and a second census builds none
+        space._mu.cache_clear()
         mus = []
         qmodz_init = exactnum.QmodZ.__init__
         monkeypatch.setattr(exactnum.QmodZ, "__init__", lambda self, *args: mus.append(args) or qmodz_init(self, *args))
-        code, out = capture_main(["census", "--n", str(n), "--from", str(k_from), "--to", str(k_to), "--format", fmt])
+        argv = ["census", "--n", str(n), "--from", str(k_from), "--to", str(k_to), "--format", fmt]
+        code, out = capture_main(argv)
         assert code == 0 and out
+        assert built == {"CensusClass": 0, "BundleClass": 0}
+        assert len(set(mus)) == len(mus) == (16 if n == 1 else 0)
+        mus.clear()
+        assert capture_main(argv) == (code, out)
         assert built == {"CensusClass": 0, "BundleClass": 0}
         assert mus == []
         # the library report builds one class object per class, and still no bundle
