@@ -17,12 +17,12 @@ before the command does any work, and passes it to the command.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from types import SimpleNamespace
 
 from .bundle import NEGATIVE, POSITIVE, make_bundle
 from .classify import NO, UNKNOWN, YES, _census_firsts, _census_rows, _family_ks
@@ -65,7 +65,7 @@ def _check_output_size(items: int, item_bytes: int, *ints: int) -> None:
         raise ValueError(f"output of about {size} bytes exceeds the limit of {MAX_OUTPUT_BYTES} bytes")
 
 
-def _resolve_format(args: argparse.Namespace) -> str:
+def _resolve_format(args: SimpleNamespace) -> str:
     fmt = args.format or os.environ.get("SPHERECTL_FORMAT") or "json"
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {', '.join(FORMATS)}")
@@ -74,7 +74,7 @@ def _resolve_format(args: argparse.Namespace) -> str:
     return fmt
 
 
-def _cmd_invariants(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_invariants(args: SimpleNamespace, fmt: str) -> int:
     b = make_bundle(args.n, args.k)
     o = NEGATIVE if args.reverse_orientation else POSITIVE
     d = dossier(b, o)
@@ -92,7 +92,7 @@ def _cmd_invariants(args: argparse.Namespace, fmt: str) -> int:
     return 0
 
 
-def _cmd_classify(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_classify(args: SimpleNamespace, fmt: str) -> int:
     b1 = make_bundle(args.n1, args.k1)
     b2 = make_bundle(args.n2, args.k2)
     decide = unoriented_diffeomorphic if args.unoriented else oriented_diffeomorphic
@@ -106,7 +106,7 @@ def _cmd_classify(args: argparse.Namespace, fmt: str) -> int:
     return EXIT_CODES[verdict.answer]
 
 
-def _cmd_certify(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_certify(args: SimpleNamespace, fmt: str) -> int:
     b0 = make_bundle(args.n, args.k0)
     b1 = make_bundle(args.n, args.k1)
     cert = separation_certificate(b0, b1, include_scal=args.scal)
@@ -175,7 +175,7 @@ def _emit_json(payload: dict, key: str | None = None, rows: Iterable[str] = ()) 
     out.write(f"\n  ]{tail}\n")
 
 
-def _cmd_components(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_components(args: SimpleNamespace, fmt: str) -> int:
     _check_limit("--pairs", args.pairs, MAX_PAIRS)
     b = make_bundle(args.n, args.l)
     pairs = max(args.pairs, 0)
@@ -234,7 +234,7 @@ def _cmd_components(args: argparse.Namespace, fmt: str) -> int:
     return EXIT_CODES[DISTINCT_COMPONENTS if report["certified"] else INCONCLUSIVE]
 
 
-def _cmd_census(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_census(args: SimpleNamespace, fmt: str) -> int:
     # a class per first member for n > 1, counted from start and stop (len() of a range
     # overflows); <= 0 for the n and windows that census rejects
     firsts = _census_firsts(args.n, args.k_from, args.k_to)
@@ -265,7 +265,7 @@ def _cmd_census(args: argparse.Namespace, fmt: str) -> int:
     return 0
 
 
-def _cmd_realized_mu(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_realized_mu(args: SimpleNamespace, fmt: str) -> int:
     values = realized_mu_set_unoriented() if args.unoriented else realized_mu_set()
     ordered = [str(q) for q in sorted(values)]
     if fmt == "pretty":
@@ -276,7 +276,7 @@ def _cmd_realized_mu(args: argparse.Namespace, fmt: str) -> int:
     return 0
 
 
-def _cmd_family(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_family(args: SimpleNamespace, fmt: str) -> int:
     _check_limit("--count", args.count, MAX_FAMILY_COUNT)
     # each member prints n (not in pretty output) and k in 42, 2 or 1 bytes of fixed text
     k = max(abs(args.l), abs(args.l + 112 * args.n * (args.count - 1)))
@@ -295,72 +295,95 @@ def _cmd_family(args: argparse.Namespace, fmt: str) -> int:
     return 0
 
 
-@functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args keeps no state."""
-    parser = argparse.ArgumentParser(
-        prog="spherectl",
-        description="Exact invariants, classification and moduli-space separation "
-        "certificates for linear S^3-bundles over S^4.",
-        epilog=f"components, family and census print at most {MAX_OUTPUT_BYTES} bytes (256 MiB): "
-        "a request for more exits 2 before any work.",
-    )
+# Each command's handler, help and options in help-screen order, _FORMAT last, read by
+# _build_parser and _recognize.  An option is (name, dest, kind, help): kind int is a required
+# int, FORMATS a choice, False a flag and True a --name/--no-name pair that defaults to True.
+_FORMAT = ("--format", "format", FORMATS, "output format")
+_COMMANDS = {
+    "invariants": (_cmd_invariants, "Invariant dossier for one bundle.", (
+        ("--n", "n", int, "Euler coefficient (nonzero)"), ("--k", "k", int, "Pontryagin parameter (p1 = 2k*u)"),
+        ("--reverse-orientation", "reverse_orientation", False, None))),
+    "classify": (_cmd_classify, "Decide diffeomorphism of two total spaces.", (
+        ("--n1", "n1", int, None), ("--k1", "k1", int, None), ("--n2", "n2", int, None), ("--k2", "k2", int, None),
+        ("--unoriented", "unoriented", False, "ignore orientations"))),
+    "certify": (_cmd_certify, "Separation certificate for a pair of bundles.", (
+        ("--n", "n", int, None), ("--k0", "k0", int, None), ("--k1", "k1", int, None),
+        ("--quote-provenance", "quote_provenance", False, "append the proof-step transcript"),
+        ("--scal", "scal", True, "also tag the scal>0 moduli space"))),
+    "components": (_cmd_components, "Pairwise certificates over an arithmetic family.", (
+        ("--n", "n", int, None), ("--l", "l", int, None),
+        ("--pairs", "pairs", int, f"certify every pair among the first PAIRS+1 members (at most {MAX_PAIRS})"),
+        ("--quote-provenance", "quote_provenance", False, None), ("--scal", "scal", True, None))),
+    "census": (_cmd_census, "Partition a parameter window into diffeomorphism classes.", (
+        ("--n", "n", int, None), ("--from", "k_from", int, None),
+        ("--to", "k_to", int, f"last k of the window; a census lists at most {MAX_CENSUS_CLASSES} classes "
+         f"in at most {MAX_OUTPUT_BYTES} bytes"), ("--unoriented", "unoriented", False, None))),
+    "realized-mu": (_cmd_realized_mu, "All mu values attained by homotopy-sphere bundles.", (
+        ("--unoriented", "unoriented", False, None),)),
+    "family": (_cmd_family, "Enumerate the arithmetic family k = l + 112n*j.", (
+        ("--n", "n", int, None), ("--l", "l", int, None),
+        ("--count", "count", int, f"number of members to list (at most {MAX_FAMILY_COUNT})"))),
+}
+
+
+@functools.cache
+def _spellings(command: str) -> dict[str, tuple]:
+    """The (dest, kind) of each spelling of command's options, a flag's kind being the value it stores."""
+    rows = (*_COMMANDS[command][2], _FORMAT)
+    spellings = {name: (dest, kind or True) for name, dest, kind, _ in rows}
+    spellings.update((f"--no-{name[2:]}", (dest, False)) for name, dest, kind, _ in rows if kind is True)
+    return spellings
+
+
+def _recognize(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that parse_args gives argv when argv is a command, then distinct
+    options by their full names, as --name=value or --name value, every int among them;
+    else None: --help, abbreviations, repeats, -- and usage errors are argparse's."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    spellings, args, tokens = _spellings(argv[0]), {}, iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        dest, kind = spellings.get(name, (None, None))
+        flag = isinstance(kind, bool)
+        if dest is None or dest in args or flag and eq:
+            return None
+        if not (flag or eq):
+            # argparse reads a token that starts with "-" as an option, unless it is a negative int
+            value = next(tokens, "-")  # "-" when no token is left, which argparse rejects too
+            if value[:1] == "-" and not value[1:].isdigit():
+                return None
+        try:
+            # int is argparse's type too, and index raises ValueError for a value that is not a choice
+            args[dest] = kind if flag else int(value) if kind is int else kind[kind.index(value)]
+        except ValueError:
+            return None
+    rows = (*_COMMANDS[argv[0]][2], _FORMAT)
+    if any(kind is int and dest not in args for _, dest, kind, _ in rows):
+        return None
+    defaults = {dest: kind if isinstance(kind, bool) else None for _, dest, kind, _ in rows}
+    return SimpleNamespace(**{**defaults, **args}, command=argv[0], func=_COMMANDS[argv[0]][0])
+
+
+@functools.cache
+def _build_parser():
+    """The parser of _COMMANDS, the one source of help and usage-error text, built
+    once per process and only for argv that _recognize declines: a well-formed query
+    imports neither argparse nor gettext.  parse_args keeps no state between calls."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="spherectl", description="Exact invariants, classification and "
+                                     "moduli-space separation certificates for linear S^3-bundles over S^4.",
+                                     epilog=f"components, family and census print at most {MAX_OUTPUT_BYTES} "
+                                     "bytes (256 MiB): a request for more exits 2 before any work.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("invariants", help="Invariant dossier for one bundle.")
-    p.add_argument("--n", type=int, required=True, help="Euler coefficient (nonzero)")
-    p.add_argument("--k", type=int, required=True, help="Pontryagin parameter (p1 = 2k*u)")
-    p.add_argument("--reverse-orientation", action="store_true")
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("classify", help="Decide diffeomorphism of two total spaces.")
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--k1", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--k2", type=int, required=True)
-    p.add_argument("--unoriented", action="store_true", help="ignore orientations")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("certify", help="Separation certificate for a pair of bundles.")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k0", type=int, required=True)
-    p.add_argument("--k1", type=int, required=True)
-    p.add_argument("--quote-provenance", action="store_true", help="append the proof-step transcript")
-    p.add_argument("--scal", action=argparse.BooleanOptionalAction, default=True,
-                   help="also tag the scal>0 moduli space")
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("components", help="Pairwise certificates over an arithmetic family.")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--pairs", type=int, required=True,
-                   help=f"certify every pair among the first PAIRS+1 members (at most {MAX_PAIRS})")
-    p.add_argument("--quote-provenance", action="store_true")
-    p.add_argument("--scal", action=argparse.BooleanOptionalAction, default=True)
-    p.set_defaults(func=_cmd_components)
-
-    p = sub.add_parser("census", help="Partition a parameter window into diffeomorphism classes.")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--from", dest="k_from", type=int, required=True)
-    p.add_argument("--to", dest="k_to", type=int, required=True,
-                   help=f"last k of the window; a census lists at most {MAX_CENSUS_CLASSES} classes "
-                   f"in at most {MAX_OUTPUT_BYTES} bytes")
-    p.add_argument("--unoriented", action="store_true")
-    p.set_defaults(func=_cmd_census)
-
-    p = sub.add_parser("realized-mu", help="All mu values attained by homotopy-sphere bundles.")
-    p.add_argument("--unoriented", action="store_true")
-    p.set_defaults(func=_cmd_realized_mu)
-
-    p = sub.add_parser("family", help="Enumerate the arithmetic family k = l + 112n*j.")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--count", type=int, required=True,
-                   help=f"number of members to list (at most {MAX_FAMILY_COUNT})")
-    p.set_defaults(func=_cmd_family)
-
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=FORMATS, help="output format")
+    for command, (func, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, dest, kind, text in (*options, _FORMAT):
+            flag = {"action": argparse.BooleanOptionalAction if kind else "store_true", "default": kind}
+            kwargs = {int: {"type": int, "required": True}, FORMATS: {"choices": kind}}.get(kind, flag)
+            p.add_argument(name, dest=dest, help=text, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -373,7 +396,8 @@ def main(argv: list[str] | None = None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = _build_parser().parse_args(argv)
+        args = (_recognize(sys.argv[1:] if argv is None else argv)
+                or _build_parser().parse_args(argv, SimpleNamespace()))
         try:
             code = args.func(args, _resolve_format(args))
             sys.stdout.flush()

@@ -16,6 +16,7 @@ from spherectl.classify import census
 from spherectl.cli import main
 from spherectl.moduli import infinite_components_report
 from test_classify import census_reference
+from test_golden import CORPUS, FORMATS as FORMAT_PINS
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -335,6 +336,153 @@ class TestParserReuse:
         payload = json.loads(out)
         assert payload["unoriented"] is False
         assert len(payload["classes"]) == 16
+
+
+# spellings that argparse alone reads (each declined by cli._recognize), and argv that the
+# recognizer reads itself; the 5,000-digit k is past the digit limit that main lifts
+RECOGNIZER_EDGES = [
+    (["census", "--n", "1", "--fro", "1", "--to", "3"], False),
+    (["census", "--n", "1", "--n", "2", "--from", "1", "--to", "9"], False),
+    (["census", "--n", "1", "--from", "1", "--to", "3", "--unoriented=1"], False),
+    (["certify", "--n", "1", "--k0", "1", "--k1", "113", "--scal", "--no-scal"], False),
+    (["invariants", "--n", "1", "--k", "-1_000"], False),
+    (["invariants", "--n", "1", "--k="], False),
+    (["invariants", "--n", "1", "--k", "3", "--"], False),
+    (["census", "-h"], False),
+    (["census", "--n", "1", "--from", "-5", "--to", "5"], True),
+    (["census", "--n", "1", "--from=-5", "--to", "5"], True),
+    (["invariants", "--n", "1", "--k", "٣"], True),
+    (["invariants", "--n", "1", "--k", "9" * 5000], True),
+]
+VALUES = st.one_of(
+    st.integers(-10**30, 10**30).map(str),
+    st.sampled_from(["json", "tsv", "pretty", "xml", "-", "", " 5", "5 ", "-5 ", "1_0", "-1_0", "٣", "-٣", "-²",
+                     "0x1", "-1.5", "--n", "-h"]),
+    st.text(max_size=3),
+)
+NOISE = st.one_of(VALUES, st.sampled_from(["--", "-h", "--help", "--fro", "--coun", "--no-unoriented", "--k=",
+                                           "--unoriented=1", "--format=json", "--n=-1", "--scal", "--no-scal"]))
+
+
+def recognized_as_argparse_reads_it(argv: list[str]) -> bool:
+    """Whether cli._recognize reads argv, asserting that parse_args then succeeds with the
+    same vars().  The digit limit is lifted, as main lifts it before the recognizer runs."""
+    with int_str_digits(0):
+        fast = cli._recognize(argv)
+        if fast is not None:
+            with contextlib.redirect_stderr(io.StringIO()):  # a SystemExit fails the test
+                assert vars(fast) == vars(cli._build_parser().parse_args(argv))
+    return fast is not None
+
+
+@st.composite
+def token_soups(draw):
+    """A command and its options in any order, one in ten missing, each value a valid one
+    or, one in six, from VALUES, given as --name=value or --name value, a flag or, one in
+    four, its --no- form, and, one soup in four, up to two noise tokens."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [command]
+    for name, _, kind, _ in draw(st.permutations((*cli._COMMANDS[command][2], cli._FORMAT))):
+        if draw(st.integers(0, 9)) == 0:
+            continue
+        if isinstance(kind, bool):
+            argv.append(draw(st.sampled_from([name, name, name, f"--no-{name[2:]}"])))
+            continue
+        if draw(st.integers(0, 5)) == 0:
+            value = draw(VALUES)
+        else:
+            value = draw(st.sampled_from(cli.FORMATS) if kind is cli.FORMATS else st.integers(-10**6, 10**6).map(str))
+        argv += draw(st.sampled_from([[f"{name}={value}"], [name, value]]))
+    if draw(st.integers(0, 3)) == 0:
+        for index, token in draw(st.lists(st.tuples(st.integers(0, len(argv)), NOISE), max_size=2)):
+            argv.insert(index, token)
+    return argv
+
+
+class TestRecognizer:
+    """cli._recognize reads the argv it accepts as parse_args does, and leaves the rest to argparse."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(token_soups())
+    @example(["census", "--n", "1", "--fro", "1", "--to", "3"])
+    @example(["census", "--n", "1", "--n", "2", "--from", "1", "--to", "9"])
+    @example(["census", "--n", "1", "--from", "1", "--to", "3", "--unoriented=1"])
+    @example(["certify", "--n", "1", "--k0", "1", "--k1", "3", "--scal", "--no-scal"])
+    @example(["census", "--n", "1", "--from", "-5", "--to", "5"])
+    @example(["census", "--n", "1", "--from=-5", "--to", "5"])
+    @example(["invariants", "--n", "1", "--k", "-1_000"])
+    @example(["invariants", "--n", "1", "--k", "٣"])
+    @example(["invariants", "--n", "1", "--k="])
+    @example(["--", "invariants", "--n", "1", "--k", "3"])
+    @example(["invariants", "--n", "1", "--", "--k", "3"])
+    @example(["-h"])
+    @example(["invariants", "--n", "1", "--k", "-h"])
+    @example(["invariants", "--n", "1", "--k", "9" * 5000])
+    def test_accepted_argv_parses_the_same(self, argv):
+        recognized_as_argparse_reads_it(argv)
+
+    @pytest.mark.parametrize("argv, recognized", RECOGNIZER_EDGES)
+    def test_edges(self, argv, recognized):
+        assert recognized_as_argparse_reads_it(argv) == recognized
+
+    def test_golden_argv_parse_the_same(self):
+        """Every golden argv that argparse parses is recognized, bar the entries that pin the
+        fallback, so the fast path is not vacuous; and every one that argparse rejects is not."""
+        entries = [json.loads(line) for path in (CORPUS, FORMAT_PINS) for line in path.read_text().splitlines()]
+        recognized = 0
+        with int_str_digits(0), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for entry in entries:
+                fast = cli._recognize(entry["argv"])
+                try:
+                    slow = cli._build_parser().parse_args(entry["argv"])
+                except SystemExit:  # --help and usage errors
+                    assert fast is None, entry["argv"]
+                    continue
+                if entry["source"] != "fallback":
+                    assert fast is not None, entry["argv"]
+                if fast is not None:
+                    assert vars(fast) == vars(slow), entry["argv"]
+                    recognized += 1
+        assert recognized > 950
+
+
+# one well-formed query of each command
+CANONICAL_ARGV = [
+    ["census", "--n", "1", "--from", "-300", "--to", "300", "--unoriented"],
+    ["components", "--n=2", "--l=-1120", "--pairs=5", "--no-scal"],
+    ["classify", "--n1", "1", "--k1", "3", "--n2", "1", "--k2", "21", "--unoriented", "--format", "pretty"],
+    ["certify", "--n", "1", "--k0", "1", "--k1", "113", "--quote-provenance"],
+    ["invariants", "--n", "1", "--k", "-5", "--reverse-orientation"],
+    ["family", "--n", "3", "--l", "1", "--count", "4", "--format=tsv"],
+    ["realized-mu", "--unoriented"],
+]
+
+
+class TestParserCost:
+    """A well-formed query builds no argparse parser, and prints what argparse's reading prints."""
+
+    @pytest.mark.parametrize("argv", CANONICAL_ARGV, ids=lambda argv: argv[0])
+    def test_canonical_query_builds_no_parser(self, argv):
+        with mock.patch.object(cli, "_build_parser", side_effect=AssertionError("parser built")):
+            fast = capture_main(argv)
+        with mock.patch.object(cli, "_recognize", return_value=None):
+            slow = capture_main(argv)
+        assert fast == slow
+        assert fast[0] in (0, 1, 3) and fast[1]
+
+    def test_console_script_argv_builds_no_parser(self, capsys, monkeypatch):
+        """main() reads sys.argv[1:], as the console script calls it."""
+        monkeypatch.setattr(sys, "argv", ["spherectl", *CANONICAL_ARGV[0]])
+        with mock.patch.object(cli, "_build_parser", side_effect=AssertionError("parser built")):
+            code = main()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["unoriented"] is True
+
+    def test_declined_argv_builds_the_parser(self):
+        with mock.patch.object(cli, "_build_parser", side_effect=AssertionError("parser built")):
+            with pytest.raises(AssertionError, match="parser built"):
+                capture_main(["census", "--n", "1", "--fro", "1", "--to", "3"])
 
 
 class TestCensusWindow:

@@ -19,6 +19,11 @@ value, the refusals that exit 2 (TSV outside census and family, the output
 byte budget, the census class limit and the argument checks), the help
 screens the corpus lacks and two usage errors for an unknown --format.
 
+Five entries of source "fallback", appended to the corpus later and recorded
+before `main` read well-formed argv from its option table, pin what argparse
+alone reads: an abbreviation, a repeated option, a flag given =value,
+--scal --no-scal, and --from -5 as a token of its own.
+
 Both files are fixed references: a change that alters any output fails these
 tests, and neither file is to be regenerated to make them pass.
 """

@@ -280,3 +280,19 @@ def test_import_loads_no_code_generation_modules():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_well_formed_query_loads_no_argparse():
+    """main builds the argparse parser only for --help and argv that its option table does
+    not recognize, so a canonical census in a fresh interpreter loads neither argparse nor gettext."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spherectl.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import contextlib, io, sys; from spherectl.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['census', '--n', '1', '--from', '1', '--to', '300']) == 0\n"
+        "print(' '.join(sorted({'argparse', 'gettext'} & set(sys.modules))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
