@@ -31,8 +31,8 @@ class BundleClass(_Value):
             raise InvalidBundleError("Euler class must be non-trivial")
         if (pont - euler) % 2 != 0:
             raise InvalidBundleError("parity violation: k ≡ n (mod 2) required")
-        object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "pont", pont)
+        self._set_euler(self, euler)
+        self._set_pont(self, pont)
 
     def to_dict(self) -> dict:
         return {"euler": self.euler, "k": self.pont}
@@ -46,7 +46,7 @@ class Orientation(_Value):
     def __init__(self, sign: int = 1) -> None:
         if sign not in (1, -1):
             raise ValueError("orientation sign must be +1 or -1")
-        object.__setattr__(self, "sign", sign)
+        self._set_sign(self, sign)
 
 
 POSITIVE = Orientation(1)
@@ -55,12 +55,12 @@ NEGATIVE = Orientation(-1)
 
 def make_bundle(n: int, k: int) -> BundleClass:
     """Validate and build the bundle class with e = n*u, p1 = 2k*u."""
-    return BundleClass(euler=n, pont=k)
+    return BundleClass(n, k)
 
 
 def reverse_bundle_orientation(b: BundleClass) -> BundleClass:
     """Reverse the bundle orientation: the Euler class changes sign, p1 does not."""
-    return BundleClass(euler=-b.euler, pont=b.pont)
+    return BundleClass(-b.euler, b.pont)
 
 
 def from_milnor_params(m: int, n: int) -> BundleClass:
@@ -68,4 +68,4 @@ def from_milnor_params(m: int, n: int) -> BundleClass:
 
     The parity constraint holds automatically: n + 2m == n (mod 2).
     """
-    return BundleClass(euler=n, pont=n + 2 * m)
+    return BundleClass(n, n + 2 * m)

@@ -51,8 +51,8 @@ class DiffeoVerdict(_Value):
     def __init__(self, answer: str, reason: str) -> None:
         if (answer, reason) not in _VERDICTS:
             raise ValueError(f"inconsistent verdict {answer}/{reason}")
-        object.__setattr__(self, "answer", answer)
-        object.__setattr__(self, "reason", reason)
+        self._set_answer(self, answer)
+        self._set_reason(self, reason)
 
     def to_dict(self) -> dict:
         return {"answer": self.answer, "reason": self.reason}
@@ -149,7 +149,7 @@ class Theta7Element(_Value):
     def __init__(self, value: Residue) -> None:
         if value.modulus != 28:
             raise ValueError("homotopy 7-sphere classes live in Z/28Z")
-        object.__setattr__(self, "value", value)
+        self._set_value(self, value)
 
     @classmethod
     def of(cls, r: int) -> Theta7Element:
@@ -182,12 +182,12 @@ class CensusClass(_Value):
     __match_args__ = ("representative", "member_ranges", "mu")
 
     def __init__(self, representative: int, member_ranges: tuple[range, ...], mu: QmodZ | None) -> None:
-        object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "member_ranges", member_ranges)
-        object.__setattr__(self, "mu", mu)
+        self._set_representative(self, representative)
+        self._set_member_ranges(self, member_ranges)
+        self._set_mu(self, mu)
         # floor arithmetic, since len() of a range overflows past sys.maxsize
         count = sum(max(0, -((r.start - r.stop) // r.step)) for r in member_ranges)
-        object.__setattr__(self, "members_count", count)
+        self._set_members_count(self, count)
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -213,13 +213,13 @@ class CensusReport(_Value):
 
     def __init__(self, n: int, k_from: int, k_to: int, unoriented: bool, skipped: int,
                  classes: tuple[CensusClass, ...], unknown_pairs_count: int) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k_from", k_from)
-        object.__setattr__(self, "k_to", k_to)
-        object.__setattr__(self, "unoriented", unoriented)
-        object.__setattr__(self, "skipped", skipped)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "unknown_pairs_count", unknown_pairs_count)
+        self._set_n(self, n)
+        self._set_k_from(self, k_from)
+        self._set_k_to(self, k_to)
+        self._set_unoriented(self, unoriented)
+        self._set_skipped(self, skipped)
+        self._set_classes(self, classes)
+        self._set_unknown_pairs_count(self, unknown_pairs_count)
 
     def to_dict(self) -> dict:
         return {

@@ -382,7 +382,8 @@ def _build_parser():
         for name, dest, kind, text in (*options, _FORMAT):
             flag = {"action": argparse.BooleanOptionalAction if kind else "store_true", "default": kind}
             kwargs = {int: {"type": int, "required": True}, FORMATS: {"choices": kind}}.get(kind, flag)
-            p.add_argument(name, dest=dest, help=text, **kwargs)
+            # set after construction: on 3.10, BooleanOptionalAction appends " (default: ...)" to its help
+            p.add_argument(name, dest=dest, **kwargs).help = text
         p.set_defaults(func=func)
     return parser
 

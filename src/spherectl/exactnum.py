@@ -22,8 +22,9 @@ class _Value:
     of the same class with equal field tuples, hash as that tuple, and print
     as Name(field=value, ...).  __match_args__ names the constructor's
     arguments in order (all fields unless a subclass says otherwise), and
-    pickling calls the constructor again with them.  Attributes are set once,
-    in __init__, through object.__setattr__.
+    pickling calls the constructor again with them.  __setattr__ refuses every
+    write, so each field is set once, in __init__, as cls._set_<field>(self,
+    value): the setter of the field's slot, derived once per class here.
     """
 
     __slots__ = ()
@@ -35,6 +36,8 @@ class _Value:
         cls._key = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
         if "__match_args__" not in cls.__dict__:
             cls.__match_args__ = fields
+        for f in fields:
+            setattr(cls, f"_set_{f}", cls.__dict__[f].__set__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -84,8 +87,8 @@ class Rational(_Value):
 
     def __init__(self, num: int, den: int = 1) -> None:
         num, den = _lowest_terms(num, den, "rational")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self._set_num(self, num)
+        self._set_den(self, den)
 
     def __add__(self, other: Rational) -> Rational:
         return Rational(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -103,6 +106,8 @@ class Rational(_Value):
         return Rational(-self.num, self.den)
 
     def __lt__(self, other: Rational) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         # denominators are positive, so cross-multiplication preserves order
         return self.num * other.den < other.num * self.den
 
@@ -129,8 +134,8 @@ class QmodZ(_Value):
 
     def __init__(self, num: int, den: int = 1) -> None:
         num, den = _lowest_terms(num, den, "Q/Z class")
-        object.__setattr__(self, "num", num % den)
-        object.__setattr__(self, "den", den)
+        self._set_num(self, num % den)
+        self._set_den(self, den)
 
     @classmethod
     def from_rational(cls, r: Rational) -> QmodZ:
@@ -159,8 +164,8 @@ class Residue(_Value):
     def __init__(self, value: int, modulus: int) -> None:
         if modulus <= 0:
             raise ValueError("modulus must be positive")
-        object.__setattr__(self, "value", value % modulus)
-        object.__setattr__(self, "modulus", modulus)
+        self._set_value(self, value % modulus)
+        self._set_modulus(self, modulus)
 
     def __str__(self) -> str:
         return f"{self.value} mod {self.modulus}"

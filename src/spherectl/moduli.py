@@ -132,9 +132,9 @@ class GluedManifoldInvariants(_Value):
     def __init__(self, sign_X: int, p1sq_X: Rational, ahat_constraint: str) -> None:
         if ahat_constraint not in (FORCED_ZERO, UNCONSTRAINED):
             raise ValueError("ahat_constraint must be ForcedZero or Unconstrained")
-        object.__setattr__(self, "sign_X", sign_X)
-        object.__setattr__(self, "p1sq_X", p1sq_X)
-        object.__setattr__(self, "ahat_constraint", ahat_constraint)
+        self._set_sign_X(self, sign_X)
+        self._set_p1sq_X(self, p1sq_X)
+        self._set_ahat_constraint(self, ahat_constraint)
 
 
 class SeparationCertificate(_Value):
@@ -159,13 +159,13 @@ class SeparationCertificate(_Value):
         curvature_classes: tuple[str, ...],
         derivation_note: str | None = None,
     ) -> None:
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "metric_labels", metric_labels)
-        object.__setattr__(self, "glued", glued)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "contradiction_value", contradiction_value)
-        object.__setattr__(self, "curvature_classes", curvature_classes)
-        object.__setattr__(self, "derivation_note", derivation_note)
+        self._set_pair(self, pair)
+        self._set_metric_labels(self, metric_labels)
+        self._set_glued(self, glued)
+        self._set_verdict(self, verdict)
+        self._set_contradiction_value(self, contradiction_value)
+        self._set_curvature_classes(self, curvature_classes)
+        self._set_derivation_note(self, derivation_note)
 
     def to_dict(self, quote_provenance: bool = False) -> dict:
         b0, b1 = self.pair
@@ -206,15 +206,15 @@ def separation_certificate(
     # p1^2[W_k0] - p1^2[W_k1] = 4*k0^2/n - 4*k1^2/n, canonicalized once
     p1sq_x = Rational(4 * (b0.pont * b0.pont - b1.pont * b1.pont), n)
     return SeparationCertificate(
-        pair=(b0, b1),
-        metric_labels=(f"GZ({b0.pont})", f"GZ({b1.pont})"),
+        (b0, b1),
+        (f"GZ({b0.pont})", f"GZ({b1.pont})"),
         # sign(X) = sign(W_k0) - sign(W_k1) = 1 - 1: both disk bundles have signature +1
-        glued=GluedManifoldInvariants(sign_X=0, p1sq_X=p1sq_x, ahat_constraint=FORCED_ZERO),
+        GluedManifoldInvariants(0, p1sq_x, FORCED_ZERO),
         # A-hat(X) = sign(X) = 0 force p1^2[X] = 0 (deduce_p1sq_zero): a nonzero value separates
-        verdict=_SEPARATION_VERDICTS[p1sq_x.num != 0],
-        contradiction_value=p1sq_x,
-        curvature_classes=_CURVATURE_CLASSES[bool(include_scal)],
-        derivation_note=None if n == 1 else GENERAL_N_DERIVATION,
+        _SEPARATION_VERDICTS[p1sq_x.num != 0],
+        p1sq_x,
+        _CURVATURE_CLASSES[bool(include_scal)],
+        None if n == 1 else GENERAL_N_DERIVATION,
     )
 
 
@@ -234,14 +234,14 @@ class ComponentsReport(_Value):
         curvature_classes: tuple[str, ...],
         note: str,
     ) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "certificates", certificates)
-        object.__setattr__(self, "certified", certified)
-        object.__setattr__(self, "banner", banner)
-        object.__setattr__(self, "curvature_classes", curvature_classes)
-        object.__setattr__(self, "note", note)
+        self._set_base(self, base)
+        self._set_pairs(self, pairs)
+        self._set_family(self, family)
+        self._set_certificates(self, certificates)
+        self._set_certified(self, certified)
+        self._set_banner(self, banner)
+        self._set_curvature_classes(self, curvature_classes)
+        self._set_note(self, note)
 
     def to_dict(self, quote_provenance: bool = False) -> dict:
         return _components_dict(self.base, self.pairs, [b.pont for b in self.family],

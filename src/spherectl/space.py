@@ -46,7 +46,7 @@ class CohomologyTable(_Value):
         for i in (1, 2, 3, 5, 6):
             if groups[i] != "0":
                 raise ValueError(f"H^{i} must vanish for sphere bundles over S^4")
-        object.__setattr__(self, "groups", groups)
+        self._set_groups(self, groups)
 
     def to_list(self) -> list[str]:
         return list(self.groups)
@@ -150,13 +150,13 @@ class SpaceDossier(_Value):
         p1sq_W: Rational,
         mu: QmodZ | None,
     ) -> None:
-        object.__setattr__(self, "bundle", bundle)
-        object.__setattr__(self, "orientation", orientation)
-        object.__setattr__(self, "cohomology", cohomology)
-        object.__setattr__(self, "is_homotopy_sphere", is_homotopy_sphere)
-        object.__setattr__(self, "sign_W", sign_W)
-        object.__setattr__(self, "p1sq_W", p1sq_W)
-        object.__setattr__(self, "mu", mu)
+        self._set_bundle(self, bundle)
+        self._set_orientation(self, orientation)
+        self._set_cohomology(self, cohomology)
+        self._set_is_homotopy_sphere(self, is_homotopy_sphere)
+        self._set_sign_W(self, sign_W)
+        self._set_p1sq_W(self, p1sq_W)
+        self._set_mu(self, mu)
 
     def to_dict(self) -> dict:
         return {
@@ -179,12 +179,6 @@ def dossier(b: BundleClass, o: Orientation = POSITIVE) -> SpaceDossier:
     mu == (p1sq_W - 4*sign_W)/896 holds field-by-field whenever mu is present.
     """
     sphere = is_homotopy_sphere(b)
-    return SpaceDossier(
-        bundle=b,
-        orientation=o,
-        cohomology=cohomology(b),
-        is_homotopy_sphere=sphere,
-        sign_W=o.sign,
-        p1sq_W=-p1_squared_W(b) if o.sign * b.euler < 0 else p1_squared_W(b),
-        mu=mu_invariant(b, o) if sphere else None,
-    )
+    return SpaceDossier(b, o, cohomology(b), sphere, o.sign,
+                        -p1_squared_W(b) if o.sign * b.euler < 0 else p1_squared_W(b),
+                        mu_invariant(b, o) if sphere else None)

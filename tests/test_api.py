@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 from itertools import combinations
 
 import spherectl
@@ -57,3 +58,71 @@ class TestPublicApi:
             assert star_import(f"spherectl.{module}") == set(names)
         for a, b in combinations(modules.values(), 2):
             assert not set(a.__all__) & set(b.__all__)
+
+
+def signature(obj: object) -> str | None:
+    """str(inspect.signature(obj)), or None for an export that has none (an instance,
+    or an exception class whose signature is the builtin one)."""
+    try:
+        return str(inspect.signature(obj))
+    except (TypeError, ValueError):
+        return None
+
+
+# str(inspect.signature(...)) of every export, keywords and defaults included: a caller
+# may pass any parameter by name, so no faster body may rename, reorder or drop one.
+SIGNATURES = {
+    "BundleClass": "(euler: 'int', pont: 'int') -> 'None'",
+    "CensusClass": "(representative: 'int', member_ranges: 'tuple[range, ...]', mu: 'QmodZ | None') -> 'None'",
+    "CensusReport": "(n: 'int', k_from: 'int', k_to: 'int', unoriented: 'bool', skipped: 'int', "
+                    "classes: 'tuple[CensusClass, ...]', unknown_pairs_count: 'int') -> 'None'",
+    "CohomologyTable": "(groups: 'tuple[str, ...]') -> 'None'",
+    "ComponentsReport": "(base: 'BundleClass', pairs: 'int', family: 'tuple[BundleClass, ...]', "
+                        "certificates: 'tuple[SeparationCertificate, ...]', certified: 'bool | None', "
+                        "banner: 'str | None', curvature_classes: 'tuple[str, ...]', note: 'str') -> 'None'",
+    "DiffeoVerdict": "(answer: 'str', reason: 'str') -> 'None'",
+    "GluedManifoldInvariants": "(sign_X: 'int', p1sq_X: 'Rational', ahat_constraint: 'str') -> 'None'",
+    "InvalidBundleError": None,
+    "NEGATIVE": None,
+    "Orientation": "(sign: 'int' = 1) -> 'None'",
+    "POSITIVE": None,
+    "QmodZ": "(num: 'int', den: 'int' = 1) -> 'None'",
+    "Rational": "(num: 'int', den: 'int' = 1) -> 'None'",
+    "Residue": "(value: 'int', modulus: 'int') -> 'None'",
+    "SeparationCertificate": "(pair: 'tuple[BundleClass, BundleClass]', metric_labels: 'tuple[str, str]', "
+                             "glued: 'GluedManifoldInvariants', verdict: 'str', contradiction_value: 'Rational', "
+                             "curvature_classes: 'tuple[str, ...]', derivation_note: 'str | None' = None) -> 'None'",
+    "SpaceDossier": "(bundle: 'BundleClass', orientation: 'Orientation', cohomology: 'CohomologyTable', "
+                    "is_homotopy_sphere: 'bool', sign_W: 'int', p1sq_W: 'Rational', mu: 'QmodZ | None') -> 'None'",
+    "Theta7Element": "(value: 'Residue') -> 'None'",
+    "census": "(n: 'int', k_from: 'int', k_to: 'int', unoriented: 'bool' = False) -> 'CensusReport'",
+    "cohomology": "(b: 'BundleClass') -> 'CohomologyTable'",
+    "deduce_p1sq_zero": "(ahat: 'Rational', sign: 'Rational') -> 'tuple[Rational, Rational]'",
+    "dossier": "(b: 'BundleClass', o: 'Orientation' = Orientation(sign=1)) -> 'SpaceDossier'",
+    "fold_orientation": "(q: 'QmodZ') -> 'QmodZ'",
+    "from_milnor_params": "(m: 'int', n: 'int') -> 'BundleClass'",
+    "gz_family": "(b: 'BundleClass', count: 'int') -> 'list[BundleClass]'",
+    "homeomorphic": "(b1: 'BundleClass', b2: 'BundleClass') -> 'DiffeoVerdict'",
+    "index_forms_dim8": "(p1sq: 'Rational', p2: 'Rational') -> 'tuple[Rational, Rational]'",
+    "infinite_components_report": "(b: 'BundleClass', pairs: 'int', include_scal: 'bool' = True) -> 'ComponentsReport'",
+    "is_homotopy_sphere": "(b: 'BundleClass') -> 'bool'",
+    "make_bundle": "(n: 'int', k: 'int') -> 'BundleClass'",
+    "mu_invariant": "(b: 'BundleClass', o: 'Orientation' = Orientation(sign=1)) -> 'QmodZ'",
+    "oriented_diffeomorphic": "(b1: 'BundleClass', b2: 'BundleClass') -> 'DiffeoVerdict'",
+    "p1_squared_W": "(b: 'BundleClass') -> 'Rational'",
+    "qmodz_add": "(a: 'QmodZ', b: 'QmodZ') -> 'QmodZ'",
+    "qmodz_neg": "(a: 'QmodZ') -> 'QmodZ'",
+    "realized_mu_set": "(h_limit: 'int' = 56) -> 'frozenset[QmodZ]'",
+    "realized_mu_set_unoriented": "() -> 'frozenset[QmodZ]'",
+    "reverse_bundle_orientation": "(b: 'BundleClass') -> 'BundleClass'",
+    "separation_certificate": "(b0: 'BundleClass', b1: 'BundleClass', include_scal: 'bool' = True) "
+                              "-> 'SeparationCertificate'",
+    "theta7_add": "(a: 'Theta7Element', b: 'Theta7Element') -> 'Theta7Element'",
+    "theta7_neg": "(a: 'Theta7Element') -> 'Theta7Element'",
+    "unoriented_diffeomorphic": "(b1: 'BundleClass', b2: 'BundleClass') -> 'DiffeoVerdict'",
+}
+
+
+def test_signatures_are_pinned():
+    assert set(SIGNATURES) == NAMES
+    assert {name: signature(getattr(spherectl, name)) for name in NAMES} == SIGNATURES

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -138,6 +139,21 @@ class TestQmodZ:
         for q in (QmodZ(0, 1), QmodZ(3, 28), QmodZ(1, 2)):
             assert not q < q and q <= q
 
+
+@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge], ids=lambda op: op.__name__)
+def test_order_is_only_within_one_class(op):
+    """Rational and QmodZ order their own instances; across two classes, ints included,
+    every comparison raises TypeError, as values of different classes never compare equal."""
+    values = (Rational(1, 2), Rational(1), QmodZ(1, 2), QmodZ(0), Residue(1, 2), 1, 0)
+    for a in values:
+        for b in values:
+            if type(a) is type(b):
+                continue
+            if isinstance(a, (Rational, QmodZ)) or isinstance(b, (Rational, QmodZ)):
+                with pytest.raises(TypeError):
+                    op(a, b)
+    assert op(Rational(1, 2), Rational(1)) == op(Fraction(1, 2), 1)
+    assert op(QmodZ(1, 2), QmodZ(0)) == op(Fraction(1, 2), 0)
 
 class TestCanonicalFields:
     """Every pair with |num|, |den| <= 60 canonicalizes as Fraction does, zero to 0/1."""

@@ -8,11 +8,13 @@ pattern matching over its constructor arguments.
 
 from __future__ import annotations
 
+import ast
 import copy
 import os
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -228,6 +230,23 @@ def test_census_class_count_is_derived():
     assert c == CensusClass(representative=5, member_ranges=(range(5, 20, 2), range(7, 7, 2)), mu=None)
     with pytest.raises(TypeError):
         CensusClass(5, (), None, 0)
+
+
+def test_fields_are_written_only_through_value_slot_setters():
+    """_Value owns how a field is written: every __init__ sets its fields through the
+    slot setters cls._set_<field> that _Value derives, so no module of the package
+    calls object.__setattr__, which would bypass them."""
+    package = Path(spherectl.__file__).parent
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    ]
+    assert calls == []
+    for cls, (fields, _, _) in VALUE_TYPES.items():
+        assert all(getattr(cls, f"_set_{f}") == cls.__dict__[f].__set__ for f in fields)
 
 
 def check_value(obj, fields):
