@@ -252,13 +252,9 @@ def _census_rows(
     """The census report with classes=(), and its classes as rows (firsts, count, mu)
     in the order of their representatives firsts[0]; census states the cost model.
 
-    firsts holds the first member f of each residue mod 112n in the class, whose
-    members are range(f, k_to + 1, 112n), so count is the closed form
-    (k_to - f)//112n + 1 summed over firsts; mu is the class's mu for n = 1, else
-    None.  For n > 1 each residue is a class, count is one term and the rows are a
-    generator.  For n = 1 the residues are grouped by the numerator x of
-    mu = x/224 mod 1, from the table the sphere rules key on, and mu is the shared
-    value space._mu(x), built once per process: a later census builds no QmodZ.
+    firsts holds the first member f of each residue mod 112n in the class, and count sums
+    (k_to - f)//112n + 1 over them.  For n > 1 each residue is a class and mu is None; for
+    n = 1 residues are grouped by the numerator x of mu = x/224 mod 1, and mu is _mu(x).
     """
     if n <= 0:
         raise ValueError("census requires n > 0")
@@ -290,10 +286,7 @@ def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusRe
     pair is left Unknown.  For n > 1 classes are keyed by k mod 112n; pairs in
     different classes carry no verdict and are reported as unknown.
 
-    Cost model: O(min(window length, 112n)).  Both keys depend only on k mod 112n
-    (mu has period 112), so _census_rows visits each residue r == n (mod 2) that
-    occurs in the window once, at its first member (_census_firsts): one table
-    lookup for n = 1, the shared mu values of space._mu, and closed-form counts.
+    Cost model: O(min(window length, 112n)): _census_rows visits each residue once.
     """
     head, rows = _census_rows(n, k_from, k_to, unoriented)
     step, stop = 112 * n, k_to + 1

@@ -22,24 +22,23 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from types import SimpleNamespace
 
-from .bundle import NEGATIVE, POSITIVE, make_bundle
-from .classify import NO, UNKNOWN, YES, _census_firsts, _census_rows, _family_ks
+from .bundle import NEGATIVE, POSITIVE, BundleClass, make_bundle
+from .classify import NO, UNKNOWN, YES, CensusClass, CensusReport, _census_firsts, _census_rows, _family_ks
 from .classify import oriented_diffeomorphic, unoriented_diffeomorphic
-from .moduli import DISTINCT_COMPONENTS, INCONCLUSIVE, _SEPARATION_VERDICTS, _components_rows, separation_certificate
-from .space import dossier, realized_mu_set, realized_mu_set_unoriented
+from .moduli import BANNER, DISTINCT_COMPONENTS, INCONCLUSIVE, INFINITUDE_NOTE, INFINITUDE_NOTE_NONPOSITIVE
+from .moduli import INFINITUDE_NOTE_OPPOSITE, _CURVATURE_CLASSES, _SEPARATION_VERDICTS, _components_dict
+from .moduli import _components_rows, separation_certificate
+from .space import _MU_NUM, _MU_NUM_FOLDED, _mu, dossier, realized_mu_set, realized_mu_set_unoriented
 
 FORMATS = ("json", "tsv", "pretty")
 # the exit code of each verdict, as in the table above
 EXIT_CODES = {YES: 0, NO: 1, UNKNOWN: 3, DISTINCT_COMPONENTS: 0, INCONCLUSIVE: 3}
 
-# Upper bounds on the work one invocation may ask for: --pairs P prints
-# P(P+1)/2 certificates (125,250 at the limit, up to 221 MiB of JSON with
-# --quote-provenance for |l| < 10^12), --count C lists C family members, and a
-# census its classes (8 MiB of JSON at the limit).  The digits of the parameters
-# are not bounded by those counts, so the estimated output is bounded too:
-# 256 MiB admits every --pairs <= 500 report with |l| < 10^12.
+# Upper bounds on the work of one invocation: --pairs P prints P(P+1)/2 certificates, --count C
+# lists C members, a census its classes, and the output, which the parameters' digits also drive.
 MAX_PAIRS = 500
 MAX_FAMILY_COUNT = 100_000
 MAX_CENSUS_CLASSES = 100_000
@@ -51,16 +50,13 @@ def _check_limit(option: str, value: int, limit: int) -> None:
         raise ValueError(f"{option} {value} exceeds the limit of {limit}")
 
 
-def _check_output_size(items: int, item_bytes: int, *ints: int) -> None:
-    """Refuse, before any work, output of items records that each print item_bytes
-    of fixed text and the ints in decimal, when it would exceed MAX_OUTPUT_BYTES.
-
-    Digits are bounded from bit_length(): str() of an int is quadratic in its
-    length.  One more record stands in for the head and tail of the report.
-    """
-    # log10(2) < 0.30103, so this bounds the digits; one more byte for the sign
-    digits = sum(abs(x).bit_length() * 30103 // 100000 + 2 for x in ints)
-    size = (max(items, 0) + 1) * (item_bytes + digits)
+def _check_output_size(*parts: tuple[int, ...]) -> None:
+    """Refuse, before any work, output over MAX_OUTPUT_BYTES: parts (count, fixed, *ints) of count records
+    that each print fixed bytes (see _fixed) and the ints, their digits bounded from bit_length()."""
+    size = 0
+    for count, fixed, *ints in parts:
+        # log10(2) < 0.30103, so this bounds the digits; one more byte for the sign
+        size += max(count, 0) * (fixed + sum([abs(x).bit_length() * 30103 // 100000 + 2 for x in ints]))
     if size > MAX_OUTPUT_BYTES:
         raise ValueError(f"output of about {size} bytes exceeds the limit of {MAX_OUTPUT_BYTES} bytes")
 
@@ -128,110 +124,137 @@ def _cmd_certify(args: SimpleNamespace, fmt: str) -> int:
 
 
 _MARK = "\x00"
+_SLOT = json.dumps(_MARK)[1:-1]  # _MARK in JSON text
+
+
+def _fixed(text: str | dict, key: str = "") -> int:
+    """The bytes of a sample's text, or of _json_frame(text, key) for a payload, less its ints (_MARK)."""
+    text = "".join(_json_frame(text, key)) if isinstance(text, dict) else text
+    return len(text.replace(f'"{_SLOT}"', "").replace(_SLOT, "").replace(_MARK, "").encode())
+
+
+def _stand_in(cls: type, **fields) -> SimpleNamespace:
+    """An object with the fields of cls, _MARK unless given, on which the to_dict of cls runs."""
+    return SimpleNamespace(**{**dict.fromkeys(cls.__slots__, _MARK), **fields})
 
 
 def _row_pieces(sample: dict) -> list[str]:
-    """The text of sample as an item of a top-level list, led by a comma and a
-    newline and cut at each _MARK (see _emit_json).  A field that is _MARK alone
-    loses its quotes, so a row gives it as JSON text (an int, null or a quoted
-    string); a _MARK inside a longer string keeps the quotes of that string.
-    Row values must need no JSON escapes.
-    """
+    """The text of sample as an item of a top-level list, led by ",\n", cut at each _MARK; a field that
+    is _MARK alone loses its quotes, for a row's JSON text.  Row values must need no JSON escapes."""
     text = ",\n    " + json.dumps(sample, indent=2, sort_keys=True).replace("\n", "\n    ")
-    slot = json.dumps(_MARK)[1:-1]
-    return text.replace(f'"{slot}"', slot).split(slot)
+    return text.replace(f'"{_SLOT}"', _SLOT).split(_SLOT)
 
 
-# the pieces of a census class, cut on first use and kept for the process's later censuses
-_census_pieces = functools.cache(lambda: _row_pieces(dict.fromkeys(("members_count", "mu", "representative"), _MARK)))
+def _json_frame(payload: dict, key: str) -> tuple[str, str]:
+    """The text that _emit_json writes before and after the rows of payload's list at key."""
+    head, tail = json.dumps({**payload, key: []}, indent=2, sort_keys=True).split(f'"{key}": []', 1)
+    return f'{head}"{key}": [', f"\n  ]{tail}\n"
 
 
 def _emit_json(payload: dict, key: str | None = None, rows: Iterable[str] = ()) -> None:
-    """Print json.dumps(payload, indent=2, sort_keys=True), the one JSON writer of
-    every report.  Given a top-level key, the list at that key is written row by
-    row from rows, so the report is never held in memory whole.
-
-    The payload is dumped with payload[key] = [] and cut at '"key": []' into a
-    head and a tail, written before and after the rows; with no rows it prints
-    [], as json.dumps does.  Each row, one write, is the text of one or more items,
-    each led by a comma and a newline; the comma of the first row is dropped.
-
-    The items of a report share their keys and most values, so _row_pieces
-    dumps one sample item once, with a _MARK in each field that varies, and
-    cuts it at the markers into constant pieces c0, c1, ...  With sorted keys an
-    item reads c0 v0 c1 v1 ... for its varying values in key order, so an item is
-    one f-string and no template is parsed per item.
-    """
-    text = json.dumps(payload if key is None else {**payload, key: []}, indent=2, sort_keys=True)
+    """Print json.dumps(payload, indent=2, sort_keys=True), the one JSON writer of every report, the list
+    at key written from rows around _json_frame, a row being items each led by ",\n" but the first."""
     rows = iter(rows)
     first = next(rows, None)
     out = sys.stdout
     if first is None:
-        out.write(f"{text}\n")
+        out.write(f"{json.dumps(payload if key is None else {**payload, key: []}, indent=2, sort_keys=True)}\n")
         return
-    head, tail = text.split(f'"{key}": []', 1)
-    out.write(f'{head}"{key}": [{first[1:]}')
+    head, tail = _json_frame(payload, key)
+    out.write(f"{head}{first[1:]}")
     out.writelines(rows)
-    out.write(f"\n  ]{tail}\n")
+    out.write(tail)
+
+
+def _certificates(rows: Iterable, ks: list[str], pieces: list[str] | None) -> Iterator[str]:
+    """Member i's certificates in one string per row (i, ps, zero) of _components_rows, pretty lines or
+    JSON items of pieces c0 k_i c1 k_j c2 k_i c3 k_j c4 p c5 verdict c6, filled by slice (README)."""
+    if pieces is None:
+        inconclusive, distinct = (f": {v} (p1sq_X = " for v in _SEPARATION_VERDICTS)
+        firsts = [[f"  k0={k} k1=", None, distinct, None, "/1)\n"] for k in ks]
+        columns, p_at, verdict = ((1, ks),), 3, 2
+    else:
+        c0, c1, c2, c3, c4, c5, c6 = pieces
+        inconclusive, distinct = (f'{c5}"{v}"{c6}' for v in _SEPARATION_VERDICTS)
+        firsts = [[f"{c0}{k}{c1}", None, f"{c2}{k}{c3}", None, None, distinct] for k in ks]
+        columns, p_at, verdict = ((1, ks), (3, [f"{k}{c4}" for k in ks])), 4, 5
+    width = len(firsts[0])
+    for i, ps, zero in rows:
+        parts = firsts[i] * len(ps)
+        parts[p_at::width] = ps
+        for at, texts in columns:
+            parts[at::width] = texts[i + 1:]
+        if zero is not None:
+            parts[width * zero + verdict] = inconclusive
+        yield "".join(parts)
+
+
+def _components_lines(report: dict, ks: list[str]) -> list[str]:
+    """The lines of a pretty components report before its certificates; the note follows them."""
+    status = ([report["banner"], f"curvature: {' '.join(report['curvature_classes'])}"] if report["banner"]
+              else ["verdict withheld" if report["certified"] is None else "certification failed"])
+    return [*status, f"family: {' '.join(ks)}"]
+
+
+@functools.cache
+def _components_frame(fmt: str, scal: bool) -> tuple[int, int]:
+    """The most fixed bytes of a components report's head and tail over each status and note, and a member's."""
+    def size(members, certified, banner, note):
+        report = _components_dict(_stand_in(BundleClass), _MARK, [_MARK] * members, [], certified, banner,
+                                  _CURVATURE_CLASSES[scal], note)
+        lines = "".join(f"{line}\n" for line in (*_components_lines(report, report["family"]), note))
+        return _fixed(report if fmt == "json" else lines, "certificates")
+    notes = (INFINITUDE_NOTE, INFINITUDE_NOTE_NONPOSITIVE, INFINITUDE_NOTE_OPPOSITE)
+    one = max(size(1, *status, note) for status in ((True, BANNER), (False, None), (None, None)) for note in notes)
+    return one, size(2, True, BANNER, notes[0]) - size(1, True, BANNER, notes[0])
 
 
 def _cmd_components(args: SimpleNamespace, fmt: str) -> int:
     _check_limit("--pairs", args.pairs, MAX_PAIRS)
     b = make_bundle(args.n, args.l)
+    pieces = None
+    if fmt == "json":
+        # a certificate is the base's but for k0, k1, p1sq_X and verdict; -n stands in for n < 0
+        sample = separation_certificate(*[b if b.euler > 0 else make_bundle(-b.euler, b.pont)] * 2, args.scal)
+        sample = sample.to_dict(args.quote_provenance)
+        sample.update(k0=_MARK, k1=_MARK, metric_labels=[f"GZ({_MARK})"] * 2, p1sq_X=f"{_MARK}/1", verdict=_MARK)
+        pieces = _row_pieces(sample)
+    # the head prints at most n, l, pairs and the first member; a certificate k_i, k_j and p, |p| <= 896 pairs k
     pairs = max(args.pairs, 0)
-    # the members, then per pair k0, k1 and p1sq_X = q[i] - q[j] = -448(j - i)(k_i + k_j)/1,
-    # whose JSON certificate also prints n and the two GZ(k) labels in 460 bytes of
-    # fixed text (1770 with the provenance)
     k = max(abs(args.l), abs(args.l + 112 * args.n * pairs))
-    items = pairs * (pairs + 1) // 2 + pairs + 1
-    if fmt == "pretty":
-        _check_output_size(items, 44, k, k, 896 * pairs * k)
-    else:
-        _check_output_size(items, 1770 if args.quote_provenance else 460, args.n, k, k, k, k, 896 * pairs * k)
+    frame, member = _components_frame(fmt, args.scal)
+    certificate = max(_fixed(next(_certificates([(0, [_MARK], zero)], [_MARK] * 2, pieces))) for zero in (None, 0))
+    ints = (k, k, 896 * pairs * k) if pieces is None else (k, k, k, k, 896 * pairs * k)
+    _check_output_size((1, frame, args.n, args.l, pairs, args.l), (pairs, member, k),
+                       (pairs * (pairs + 1) // 2, certificate, *ints))
     report, rows = _components_rows(b, args.pairs, include_scal=args.scal)
     ks = [str(k) for k in report["family"]]
     if fmt == "pretty":
-        if report["banner"]:
-            print(report["banner"], f"curvature: {' '.join(report['curvature_classes'])}", sep="\n")
-        else:
-            print("verdict withheld" if report["certified"] is None else "certification failed")
-        print(f"family: {' '.join(ks)}")
-        # member i's lines from the pieces [k0=k_i k1=, k_j, verdict, p, /1)], as its JSON certificates below
-        inconclusive, distinct = (f": {v} (p1sq_X = " for v in _SEPARATION_VERDICTS)
-        for i, ps, zero in rows:
-            parts = [f"  k0={ks[i]} k1=", None, distinct, None, "/1)\n"] * len(ps)
-            parts[1::5] = ks[i + 1:]
-            parts[3::5] = ps
-            if zero is not None:
-                parts[5 * zero + 2] = inconclusive
-            sys.stdout.write("".join(parts))
+        print(*_components_lines(report, ks), sep="\n")
+        sys.stdout.writelines(_certificates(rows, ks, None))
         print(report["note"])
     else:
-        # a certificate reads c0 k_i c1 k_j c2 k_i c3 k_j c4 p c5 verdict c6.  Member i's m certificates
-        # are the pieces [c0 k_i c1, k_j, c2 k_i c3, k_j c4, p, c5 "DistinctComponents" c6] repeated m
-        # times, the columns k_j, k_j c4 and p (the rows' text, one f-string per pair) filled by slice,
-        # the verdict at the row's closed-form zero index patched, and all joined once: the CLI runs no
-        # Python code of its own per pair.  The members are text from the head's k, no BundleClass each
-        sample = separation_certificate(b, b, args.scal).to_dict(args.quote_provenance)
-        sample.update(k0=_MARK, k1=_MARK, metric_labels=[f"GZ({_MARK})"] * 2, p1sq_X=f"{_MARK}/1", verdict=_MARK)
-        c0, c1, c2, c3, c4, c5, c6 = _row_pieces(sample)
-        heads = [f"{c0}{k}{c1}" for k in ks]
-        mids = [f"{c2}{k}{c3}" for k in ks]
-        kc4s = [f"{k}{c4}" for k in ks]
-        inconclusive, distinct = (f'{c5}"{v}"{c6}' for v in _SEPARATION_VERDICTS)
-
-        def certificates() -> Iterator[str]:
-            for (i, ps, zero), head, mid in zip(rows, heads, mids):
-                parts = [head, None, mid, None, None, distinct] * len(ps)
-                parts[1::6] = ks[i + 1:]
-                parts[3::6] = kc4s[i + 1:]
-                parts[4::6] = ps
-                if zero is not None:
-                    parts[6 * zero + 5] = inconclusive
-                yield "".join(parts)
-
-        _emit_json(report, "certificates", certificates())
+        _emit_json(report, "certificates", _certificates(rows, ks, pieces))
     return EXIT_CODES[DISTINCT_COMPONENTS if report["certified"] else INCONCLUSIVE]
+
+
+@functools.cache
+def _census_text(fmt: str, unoriented: bool, sphere: bool) -> tuple:
+    """A census's head from (report, classes), a JSON payload, and texts of rows (firsts, count, mu) in fmt,
+    the fixed bytes of its head and tail, and the most of a row over the mu of odd k at n = 1 (sphere)."""
+    (c0, c1, c2, c3), quote = _row_pieces(CensusClass.to_dict(_stand_in(CensusClass))), '"{}"'.format
+    head, texts = {
+        "json": (lambda h, classes: CensusReport.to_dict(h), lambda rows: (
+            f"{c0}{c}{c1}{'null' if mu is None else quote(mu)}{c2}{fs[0]}{c3}" for fs, c, mu in rows)),
+        "tsv": (lambda h, classes: "representative\tmembers_count\tmu\n", lambda rows: (
+            f"{fs[0]}\t{c}\t{'-' if mu is None else mu}\n" for fs, c, mu in rows)),
+        "pretty": (lambda h, classes: f"n={h.n} range=[{h.k_from}, {h.k_to}] classes={classes} "
+                   f"skipped={h.skipped} unknown_pairs={h.unknown_pairs_count}\n", lambda rows: (
+            f"  k={fs[0]}: {c} members, mu={'-' if mu is None else mu}\n" for fs, c, mu in rows)),
+    }[fmt]
+    mus = {_mu(x) for x in (_MU_NUM_FOLDED if unoriented else _MU_NUM)[1::2]} if sphere else (None,)
+    frame = _fixed(head(_stand_in(CensusReport, classes=(), unoriented=unoriented), _MARK), "classes")
+    return head, texts, frame, max(_fixed(next(texts([((_MARK,), _MARK, mu)]))) for mu in mus)
 
 
 def _cmd_census(args: SimpleNamespace, fmt: str) -> int:
@@ -241,27 +264,17 @@ def _cmd_census(args: SimpleNamespace, fmt: str) -> int:
     classes = (firsts.stop - firsts.start + 1) // 2
     if classes > MAX_CENSUS_CLASSES:
         raise ValueError(f"census of {classes} classes exceeds the limit of {MAX_CENSUS_CLASSES}")
-    # each class prints its representative, its member count (at most the window
-    # length) and mu in 86, 10 or 27 bytes of fixed text
-    k = max(abs(args.k_from), abs(args.k_to))
-    _check_output_size(classes, {"json": 86, "tsv": 10, "pretty": 27}[fmt], k, args.k_to - args.k_from + 1)
+    head_text, texts, frame, row_bytes = _census_text(fmt, args.unoriented, args.n == 1)
+    # the head prints n, the window, the classes, skipped and unknown pairs, a row k and its member count
+    k, window = max(abs(args.k_from), abs(args.k_to)), args.k_to - args.k_from + 1
+    _check_output_size((1, frame, args.n, k, k, classes, window, window * window), (classes, row_bytes, k, window))
     head, rows = _census_rows(args.n, args.k_from, args.k_to, args.unoriented)
-    classes = len(rows) if args.n == 1 else classes
-    # a row (firsts, members_count, mu) prints its representative firsts[0], the count and mu
-    out = sys.stdout
-    if fmt == "tsv":
-        out.write("representative\tmembers_count\tmu\n")
-        out.writelines(f"{fs[0]}\t{c}\t{'-' if mu is None else mu}\n" for fs, c, mu in rows)
-    elif fmt == "pretty":
-        out.write(f"n={head.n} range=[{head.k_from}, {head.k_to}] classes={classes} skipped={head.skipped} "
-                  f"unknown_pairs={head.unknown_pairs_count}\n")
-        out.writelines(f"  k={fs[0]}: {c} members, mu={'-' if mu is None else mu}\n" for fs, c, mu in rows)
+    text = head_text(head, len(rows) if args.n == 1 else classes)
+    if fmt == "json":
+        _emit_json(text, "classes", texts(rows))
     else:
-        c0, c1, c2, c3 = _census_pieces()
-        quote = '"{}"'.format
-        _emit_json(head.to_dict(), "classes", (
-            f"{c0}{c}{c1}{'null' if mu is None else quote(mu)}{c2}{fs[0]}{c3}" for fs, c, mu in rows
-        ))
+        sys.stdout.write(text)
+        sys.stdout.writelines(texts(rows))
     return 0
 
 
@@ -276,22 +289,31 @@ def _cmd_realized_mu(args: SimpleNamespace, fmt: str) -> int:
     return 0
 
 
+@functools.cache
+def _family_text(fmt: str) -> tuple:
+    """A family's head(n, l, step), a JSON payload, and member texts(n, ks) in fmt, with the fixed bytes of each."""
+    c0, c1, c2 = _row_pieces(BundleClass.to_dict(_stand_in(BundleClass)))
+    head, texts = {
+        "json": (lambda n, l, step: {"n": n, "l": l, "step": step}, lambda n, ks: (f"{c0}{n}{c1}{k}{c2}" for k in ks)),
+        "tsv": (lambda n, l, step: "euler\tk\n", lambda n, ks: (f"{n}\t{k}\n" for k in ks)),
+        "pretty": (lambda n, l, step: "", lambda n, ks: chain((f"{k} " for k in ks[:-1]), [f"{ks[-1]}\n"])),
+    }[fmt]
+    return head, texts, _fixed(head(_MARK, _MARK, _MARK), "members"), _fixed(next(texts(_MARK, [_MARK])))
+
+
 def _cmd_family(args: SimpleNamespace, fmt: str) -> int:
     _check_limit("--count", args.count, MAX_FAMILY_COUNT)
-    # each member prints n (not in pretty output) and k in 42, 2 or 1 bytes of fixed text
+    head, texts, frame, row_bytes = _family_text(fmt)
+    # the head prints n, l and the step 112n, a member n and k
     k = max(abs(args.l), abs(args.l + 112 * args.n * (args.count - 1)))
-    _check_output_size(args.count, {"json": 42, "tsv": 2, "pretty": 1}[fmt], args.n, k)
-    base = make_bundle(args.n, args.l)
-    ks = _family_ks(base, args.count)
-    if fmt == "tsv":
-        print("euler\tk")
-        sys.stdout.writelines(f"{args.n}\t{k}\n" for k in ks)
-    elif fmt == "pretty":
-        sys.stdout.writelines(f"{k} " for k in ks[:-1])
-        print(ks[-1])
+    _check_output_size((1, frame, args.n, args.l, 112 * args.n), (args.count, row_bytes, args.n, k))
+    ks = _family_ks(make_bundle(args.n, args.l), args.count)
+    text = head(args.n, args.l, ks.step)
+    if fmt == "json":
+        _emit_json(text, "members", texts(args.n, ks))
     else:
-        c0, c1 = _row_pieces({**base.to_dict(), "k": _MARK})
-        _emit_json({"n": args.n, "l": args.l, "step": ks.step}, "members", (f"{c0}{k}{c1}" for k in ks))
+        sys.stdout.write(text)
+        sys.stdout.writelines(texts(args.n, ks))
     return 0
 
 

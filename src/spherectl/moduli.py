@@ -254,8 +254,7 @@ def _components_dict(
     banner: str | None, curvature_classes: tuple[str, ...], note: str,
 ) -> dict:
     """The JSON form of a components report from its fields, family the members' k and
-    certificates their dicts: the one owner of its keys, for ComponentsReport.to_dict and
-    for _components_head, which builds no ComponentsReport."""
+    certificates their dicts: the one owner of its keys, for ComponentsReport.to_dict and _components_head."""
     return {
         "n": base.euler,
         "l": base.pont,
@@ -278,12 +277,8 @@ def infinite_components_report(
     The verdict "certified" requires every pair to separate; with pairs = 0
     there is nothing to check and the verdict is withheld.
 
-    Cost model: the verdict and the rest of the head come from _components_head
-    in O(pairs), "certified" by its O(1) closed form.  The certificates are one
-    separation_certificate per pair (i, j), i < j <= pairs, pairs*(pairs+1)/2
-    objects, each one Rational on native ints from the general formula
-    4*(k0^2 - k1^2)/n and sharing the curvature tags.  The CLI renders the rows
-    of _components_rows instead.
+    Cost model: the head of _components_head in O(pairs), then one
+    separation_certificate per pair, pairs*(pairs+1)/2 objects.
     """
     head = _components_head(b, pairs, include_scal)
     family = tuple(BundleClass(b.euler, k) for k in head["family"])
@@ -302,16 +297,10 @@ def _opposite_sum(b: BundleClass) -> int:
 
 def _components_head(b: BundleClass, pairs: int, include_scal: bool = True) -> dict:
     """ComponentsReport.to_dict() of the family of b without its certificates, from the
-    members' k (no BundleClass per member), with certified, banner and note in O(1).
-
-    For the members k_i = l + 112n*i the gluing number has a closed form: with
-    q[j] = (4*k_j^2 - 4*l^2)/n = 896*l*j + 50176*n*j^2, an integer,
-
-        p1^2[X] = 4*(k_i^2 - k_j^2)/n = q[i] - q[j] = -448*(j - i)*(2l + 112n*(i + j)),
-
-    so p1sq_X is always the Rational p/1 for an int p.  It is zero exactly when
-    i + j = -l/(56n), so with pairs >= 1 some pair fails exactly when l < 0,
-    56n | l and 1 <= -l/(56n) <= 2*pairs - 1, and certified is decided in O(1).
+    members' k (no BundleClass per member), with certified, banner and note in O(1): with the
+    integers q[j] = (4*k_j^2 - 4*l^2)/n = 896*l*j + 50176*n*j^2, members i < j glue to p1^2[X] =
+    q[i] - q[j] = -448*(j - i)*(2l + 112n*(i + j)), zero exactly when i + j = -l/(56n): with pairs >= 1
+    some pair fails exactly when l < 0, 56n | l and 1 <= -l/(56n) <= 2*pairs - 1.
     """
     if pairs < 0:
         raise ValueError("pairs must be nonnegative")
@@ -327,13 +316,9 @@ def _components_rows(
 ) -> tuple[dict, Iterator[tuple[int, list[str], int | None]]]:
     """_components_head(b, pairs, include_scal), and the certificates as closed-form rows.
 
-    The rows, the one enumeration of the pairs, stand for the certificates: a
-    row (i, ps, zero) per member i < pairs, never empty, with ps the decimal
-    text of the numerators p = q[i] - q[j] of p1sq_X of the pairs (i, j),
-    j = i+1..pairs (see _components_head), from one f-string per pair.  A pair
-    separates exactly when p != 0, and a row holds at most one p == 0, at
-    j = -l/(56n) - i: zero is its index in ps, or None.  Cost: O(pairs)
-    objects, then one subtraction and one f-string per pair.
+    A row (i, ps, zero) per member i < pairs, the one enumeration of the pairs, has ps the text
+    of p = q[i] - q[j] for j = i+1..pairs (see _components_head), one f-string each, and zero
+    the index of the one pair that can have p == 0, j = -l/(56n) - i, or None.
     """
     head = _components_head(b, pairs, include_scal)
     n, l, z = b.euler, b.pont, _opposite_sum(b)

@@ -1160,9 +1160,10 @@ class TestWorkLimits:
         st.sampled_from(("json", "pretty", "tsv")),
         st.booleans(),
     )
+    @example("components", 3, -1, 1, "pretty", False)  # the head and tail outweigh one certificate
+    @example("census", 1, -5, 1, "tsv", False)  # the TSV header outweighs one class
     def test_output_estimate_bounds_the_output(self, command, n, l, size, fmt, quote):
-        # for outputs of 64 KiB or more the estimate is at least the output, and it is
-        # never more than twice the output plus 64 KiB
+        # the estimate is at least the output, and never more than twice the output plus 64 KiB
         l += (l - n) % 2
         if command == "components":
             fmt = "json" if fmt == "tsv" else fmt
@@ -1178,14 +1179,13 @@ class TestWorkLimits:
         actual = len(out.encode())
         with mock.patch.object(cli, "MAX_OUTPUT_BYTES", 2 * actual + 2**16):
             assert capture_main(argv) == (code, out)
-        if actual >= 2**16:
-            with mock.patch.object(cli, "MAX_OUTPUT_BYTES", actual - 1):
-                assert capture_main(argv) == (2, "")
+        with mock.patch.object(cli, "MAX_OUTPUT_BYTES", actual - 1):
+            assert capture_main(argv) == (2, "")
 
 
 class TestOutputEstimate:
-    """A refusal over MAX_OUTPUT_BYTES states its estimate: one record more than the
-    output has, times the fixed text of a record plus a digit bound of each int in it."""
+    """A refusal over MAX_OUTPUT_BYTES states its estimate, which the renderers' own text of a
+    sample sizes: at least the bytes written, and at most twice them plus 64 KiB."""
 
     @staticmethod
     def stated(argv: list[str]) -> int:
@@ -1194,28 +1194,20 @@ class TestOutputEstimate:
             assert main(argv) == 2
         return int(err.getvalue().split("output of about ")[1].split()[0])
 
-    @staticmethod
-    def estimate(records: int, fixed: int, *ints: int) -> int:
-        # log10(2) < 0.30103, so bit_length() bounds the digits; one more byte for the sign
-        return (max(records, 0) + 1) * (fixed + sum(abs(x).bit_length() * 30103 // 100000 + 2 for x in ints))
+    def assert_bounds(self, argv: list[str]) -> None:
+        written = len(capture_main(argv)[1].encode())
+        assert written <= self.stated(argv) <= 2 * written + 2**16
 
     # -6719 + 112*3*20 = 1, so only the larger end bounds k; --pairs -5 prints no pair;
-    # 896*585 and 897*585 straddle a digit of the bound
+    # 896*585 and 897*585 straddle a digit of the bound; n = 98 prints 67,338,705 bytes
     @pytest.mark.parametrize("n, l, pairs, fmt, quote", [
         (3, -6719, 194, "json", False), (3, -6719, 194, "json", True), (3, -6719, 194, "pretty", False),
         (1, -6719, -5, "json", False), (3, 1, 194, "json", False), (1, -585, 1, "json", False),
-        (1, -585, 1, "pretty", False),
+        (1, -585, 1, "pretty", False), (98, -99999999998, 500, "json", False),
     ])
     def test_components(self, n, l, pairs, fmt, quote):
         argv = ["components", "--n", str(n), "--l", str(l), "--pairs", str(pairs), "--format", fmt]
-        p = max(pairs, 0)
-        k = max(abs(l), abs(l + 112 * n * p))
-        records = p * (p + 1) // 2 + p + 1
-        if fmt == "pretty":
-            expected = self.estimate(records, 44, k, k, 896 * p * k)
-        else:
-            expected = self.estimate(records, 1770 if quote else 460, n, k, k, k, k, 896 * p * k)
-        assert self.stated(argv + ["--quote-provenance"] * quote) == expected
+        self.assert_bounds(argv + ["--quote-provenance"] * quote)
 
     # 2^288 + 1 and 2^680 + 1 have bit lengths where the digit bound is sharp
     @pytest.mark.parametrize("n, l, count, fmt", [
@@ -1223,19 +1215,85 @@ class TestOutputEstimate:
         (1, -9999, 4681, "json"), (1, 2**288 + 1, 1, "json"), (1, 2**680 + 1, 1, "json"),
     ])
     def test_family(self, n, l, count, fmt):
-        argv = ["family", "--n", str(n), "--l", str(l), "--count", str(count), "--format", fmt]
-        k = max(abs(l), abs(l + 112 * n * (count - 1)))
-        assert self.stated(argv) == self.estimate(count, {"json": 42, "tsv": 2, "pretty": 1}[fmt], n, k)
+        self.assert_bounds(["family", "--n", str(n), "--l", str(l), "--count", str(count), "--format", fmt])
 
     @pytest.mark.parametrize("k_from, k_to, fmt", [
         (-9, 502, "json"), (-9, 502, "tsv"), (-9, 502, "pretty"), (-9, 501, "json"),
     ])
     def test_census(self, k_from, k_to, fmt):
-        argv = ["census", "--n", "1", "--from", str(k_from), "--to", str(k_to), "--format", fmt]
-        classes = len(range(k_from + (1 - k_from) % 2, min(k_to + 1, k_from + 112), 2))
-        expected = self.estimate(classes, {"json": 86, "tsv": 10, "pretty": 27}[fmt],
-                                 max(abs(k_from), abs(k_to)), k_to - k_from + 1)
-        assert self.stated(argv) == expected
+        self.assert_bounds(["census", "--n", "1", "--from", str(k_from), "--to", str(k_to), "--format", fmt])
+
+    @pytest.mark.parametrize("name, added, quote", [("GENERAL_N_DERIVATION", " and so on", False),
+                                                    ("PROVENANCE_STEPS", ("one more step",), True)])
+    def test_a_longer_text_lengthens_the_estimate(self, monkeypatch, name, added, quote):
+        # each of the 30*31/2 certificates prints the text, so the estimate grows by its added bytes each
+        argv = ["components", "--n", "3", "--l", "1", "--pairs", "30"] + ["--quote-provenance"] * quote
+        before = self.stated(argv)
+        monkeypatch.setattr(moduli, name, getattr(moduli, name) + added)
+        self.assert_bounds(argv)
+        assert self.stated(argv) - before >= len("".join(added)) * 30 * 31 // 2
+
+    def test_a_longer_mu_lengthens_the_census_estimate(self, monkeypatch):
+        # one n = 1 class printing a longer mu moves the estimate of every class row
+        argv = ["census", "--n", "1", "--from", "1", "--to", "300", "--format", "tsv"]
+        before, mu, rows = self.stated(argv), cli._mu, len(capture_main(argv)[1].splitlines()) - 1
+        long_x = cli._MU_NUM[5]
+        monkeypatch.setattr(cli, "_mu", lambda x: "9" * 40 if x == long_x else mu(x))
+        cli._census_text.cache_clear()
+        try:
+            assert self.stated(argv) - before >= (40 - max(len(str(mu(x))) for x in cli._MU_NUM)) * rows
+        finally:
+            cli._census_text.cache_clear()
+
+    def test_census_sizes_build_only_the_mu_a_census_prints(self, monkeypatch):
+        # the estimate sizes the mu of odd k: a fresh process builds no other QmodZ for a census
+        cli._census_text.cache_clear()
+        space._mu.cache_clear()
+        built = []
+        qmodz_init = exactnum.QmodZ.__init__
+        monkeypatch.setattr(exactnum.QmodZ, "__init__", lambda self, *args: built.append(args) or qmodz_init(self, *args))
+        for unoriented in (False, True):
+            argv = ["census", "--n", "1", "--from", "1", "--to", "3"] + ["--unoriented"] * unoriented
+            capture_main(argv)
+        assert set(built) == {(space._MU_NUM[k % 112], 224) for k in range(1, 112, 2)} | {
+            (space._MU_NUM_FOLDED[k % 112], 224) for k in range(1, 112, 2)}
+
+    # windows whose size bound would fall short if an int of the head were bounded from the wrong
+    # parameter: a long negative k_from with a short k_to, a window centred on 0, an n > 1 window of
+    # 10^1000 (its unknown pairs print 2000 digits), a 41-digit n, and a 40,000-digit l with no pair
+    @pytest.mark.parametrize("argv", [
+        ["census", "--n", "3", "--from", str(-10**40 - 1), "--to", "5"],
+        ["census", "--n", "3", "--from", str(-10**40 - 1), "--to", str(10**40 + 1), "--format", "tsv"],
+        ["census", "--n", "2", "--from", str(10**1000 + 1), "--to", str(2 * 10**1000), "--format", "pretty"],
+        ["family", "--n", str(10**40), "--l", "0", "--count", "1"],
+        ["components", "--n", "1", "--l", "1" + "0" * 39999 + "1", "--pairs", "0"],
+        ["components", "--n", "1", "--l", "1" + "0" * 39999 + "1", "--pairs", "0", "--format", "pretty"],
+    ], ids=["census-wide-k", "census-around-0", "census-n2-1000-digits", "family-big-n", "components-json-no-pair",
+            "components-pretty-no-pair"])
+    def test_each_int_is_bounded_by_its_own_parameter(self, argv):
+        self.assert_bounds(argv)
+
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_negative_n_keeps_its_refusals(self, fmt):
+        # n < 0 has no certificate to measure, yet is refused as it was: over the output budget
+        # before any work, else by the family enumeration
+        for l, message in (("1", "family enumeration requires euler > 0"),
+                           ("1" + "0" * 2999 + "1", "bytes exceeds the limit of")):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+                code = main(["components", "--n", "-1", "--l", l, "--pairs", "500", "--format", fmt])
+            assert (code, out.getvalue()) == (2, "") and message in err.getvalue()
+
+    @pytest.mark.parametrize("x, sharp", [
+        (1, True), (9, False), (10, True), (2**288 + 1, True), (2**680 + 1, False), (10**50 - 1, False),
+        (10**50, True), (10**3000 + 1, True),
+    ])
+    def test_an_int_is_bounded_by_its_sign_and_digits(self, x, sharp):
+        # from bit_length(), the bound on the text of x or -x is at most one byte over, and none when sharp
+        with mock.patch.object(cli, "MAX_OUTPUT_BYTES", 0), pytest.raises(ValueError) as refusal:
+            cli._check_output_size((1, 0, x))
+        bound = int(str(refusal.value).split("output of about ")[1].split()[0])
+        assert bound == len(str(-x)) + (not sharp)
 
     def test_an_estimate_equal_to_the_limit_is_admitted(self):
         argv = ["family", "--n", "1", "--l", "1", "--count", "3"]
