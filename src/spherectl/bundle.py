@@ -69,3 +69,13 @@ def from_milnor_params(m: int, n: int) -> BundleClass:
     The parity constraint holds automatically: n + 2m == n (mod 2).
     """
     return BundleClass(n, n + 2 * m)
+
+
+def _family_ks(b: BundleClass, count: int) -> range:
+    """The k of the members of classify.gz_family(b, count), as a range of O(1) size."""
+    if b.euler <= 0:
+        raise ValueError("family enumeration requires euler > 0")
+    if count < 1:
+        raise ValueError("family length must be positive")
+    step = 112 * b.euler
+    return range(b.pont, b.pont + count * step, step)

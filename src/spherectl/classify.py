@@ -18,10 +18,9 @@ key homotopy spheres by the mu table of space, folded when unoriented.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterable
 
-from .bundle import BundleClass
+from .bundle import BundleClass, _family_ks
 from .exactnum import QmodZ, Residue, _Value
 from .space import _MU_NUM, _MU_NUM_FOLDED, _mu
 
@@ -120,16 +119,6 @@ def unoriented_diffeomorphic(b1: BundleClass, b2: BundleClass) -> DiffeoVerdict:
     return _decide(_UNORIENTED, b1, b2)
 
 
-def _family_ks(b: BundleClass, count: int) -> range:
-    """The k of the members of gz_family(b, count), as a range of O(1) size."""
-    if b.euler <= 0:
-        raise ValueError("family enumeration requires euler > 0")
-    if count < 1:
-        raise ValueError("family length must be positive")
-    step = 112 * b.euler
-    return range(b.pont, b.pont + count * step, step)
-
-
 def gz_family(b: BundleClass, count: int) -> list[BundleClass]:
     """The arithmetic family k, k + 112n, k + 2*112n, ... of length count.
 
@@ -192,6 +181,7 @@ class CensusClass(_Value):
     @property
     def members(self) -> tuple[int, ...]:
         """Every member, in increasing order (materialized on each access)."""
+        import heapq  # here, so that only a caller of members loads it
         return tuple(heapq.merge(*self.member_ranges))
 
     def to_dict(self) -> dict:

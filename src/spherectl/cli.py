@@ -18,6 +18,7 @@ before the command does any work, and passes it to the command.
 from __future__ import annotations
 
 import functools
+import importlib
 import json
 import os
 import sys
@@ -25,17 +26,11 @@ from collections.abc import Iterable, Iterator
 from itertools import chain
 from types import SimpleNamespace
 
-from .bundle import NEGATIVE, POSITIVE, BundleClass, make_bundle
-from .classify import NO, UNKNOWN, YES, CensusClass, CensusReport, _census_firsts, _census_rows, _family_ks
-from .classify import oriented_diffeomorphic, unoriented_diffeomorphic
-from .moduli import BANNER, DISTINCT_COMPONENTS, INCONCLUSIVE, INFINITUDE_NOTE, INFINITUDE_NOTE_NONPOSITIVE
-from .moduli import INFINITUDE_NOTE_OPPOSITE, _CURVATURE_CLASSES, _SEPARATION_VERDICTS, _components_dict
-from .moduli import _components_rows, separation_certificate
-from .space import _MU_NUM, _MU_NUM_FOLDED, _mu, dossier, realized_mu_set, realized_mu_set_unoriented
+from . import bundle
 
 FORMATS = ("json", "tsv", "pretty")
 # the exit code of each verdict, as in the table above
-EXIT_CODES = {YES: 0, NO: 1, UNKNOWN: 3, DISTINCT_COMPONENTS: 0, INCONCLUSIVE: 3}
+EXIT_CODES = {"Yes": 0, "No": 1, "Unknown": 3, "DistinctComponents": 0, "Inconclusive": 3}
 
 # Upper bounds on the work of one invocation: --pairs P prints P(P+1)/2 certificates, --count C
 # lists C members, a census its classes, and the output, which the parameters' digits also drive.
@@ -45,18 +40,25 @@ MAX_CENSUS_CLASSES = 100_000
 MAX_OUTPUT_BYTES = 256 * 2**20
 
 
+@functools.cache
+def _library(name: str):
+    """The library module spherectl.<name>: cli imports bundle alone, and each command the modules it runs
+    through this cache, cheaper per query than an import statement (README "Cold start")."""
+    return importlib.import_module(f".{name}", __package__)
+
+
 def _check_limit(option: str, value: int, limit: int) -> None:
     if value > limit:
         raise ValueError(f"{option} {value} exceeds the limit of {limit}")
 
 
 def _check_output_size(*parts: tuple[int, ...]) -> None:
-    """Refuse, before any work, output over MAX_OUTPUT_BYTES: parts (count, fixed, *ints) of count records
-    that each print fixed bytes (see _fixed) and the ints, their digits bounded from bit_length()."""
+    """Refuse, before any work, output over MAX_OUTPUT_BYTES: parts (count, fixed, *ints) of count records that
+    each print fixed bytes (see _fixed) and the ints, each a bound that is negative where its value may be."""
     size = 0
     for count, fixed, *ints in parts:
-        # log10(2) < 0.30103, so this bounds the digits; one more byte for the sign
-        size += max(count, 0) * (fixed + sum([abs(x).bit_length() * 30103 // 100000 + 2 for x in ints]))
+        # log10(2) < 0.30103, so this bounds the digits; a sign byte for a negative bound
+        size += max(count, 0) * (fixed + sum([abs(x).bit_length() * 30103 // 100000 + 1 + (x < 0) for x in ints]))
     if size > MAX_OUTPUT_BYTES:
         raise ValueError(f"output of about {size} bytes exceeds the limit of {MAX_OUTPUT_BYTES} bytes")
 
@@ -71,27 +73,25 @@ def _resolve_format(args: SimpleNamespace) -> str:
 
 
 def _cmd_invariants(args: SimpleNamespace, fmt: str) -> int:
-    b = make_bundle(args.n, args.k)
-    o = NEGATIVE if args.reverse_orientation else POSITIVE
-    d = dossier(b, o)
+    o = bundle.NEGATIVE if args.reverse_orientation else bundle.POSITIVE
+    d = _library("space").dossier(bundle.make_bundle(args.n, args.k), o)
     if fmt == "pretty":
         info = d.to_dict()
-        print(f"bundle: euler={info['euler']} k={info['k']}")
-        print(f"orientation: {info['orientation']:+d}")
-        print(f"cohomology: [{', '.join(info['cohomology'])}]")
-        print(f"homotopy sphere: {'yes' if info['is_homotopy_sphere'] else 'no'}")
-        print(f"sign_W: {info['sign_W']}")
-        print(f"p1sq_W: {info['p1sq_W']}")
-        print(f"mu: {info['mu'] if info['mu'] is not None else '-'}")
+        print(f"bundle: euler={info['euler']} k={info['k']}", f"orientation: {info['orientation']:+d}",
+              f"cohomology: [{', '.join(info['cohomology'])}]",
+              f"homotopy sphere: {'yes' if info['is_homotopy_sphere'] else 'no'}",
+              *(f"{key}: {info[key]}" for key in ("sign_W", "p1sq_W")),
+              f"mu: {info['mu'] if info['mu'] is not None else '-'}", sep="\n")
     else:
         _emit_json(d.to_dict())
     return 0
 
 
 def _cmd_classify(args: SimpleNamespace, fmt: str) -> int:
-    b1 = make_bundle(args.n1, args.k1)
-    b2 = make_bundle(args.n2, args.k2)
-    decide = unoriented_diffeomorphic if args.unoriented else oriented_diffeomorphic
+    classify = _library("classify")
+    b1 = bundle.make_bundle(args.n1, args.k1)
+    b2 = bundle.make_bundle(args.n2, args.k2)
+    decide = classify.unoriented_diffeomorphic if args.unoriented else classify.oriented_diffeomorphic
     verdict = decide(b1, b2)
     payload = {"b1": b1.to_dict(), "b2": b2.to_dict(), "unoriented": args.unoriented}
     payload.update(verdict.to_dict())
@@ -103,21 +103,16 @@ def _cmd_classify(args: SimpleNamespace, fmt: str) -> int:
 
 
 def _cmd_certify(args: SimpleNamespace, fmt: str) -> int:
-    b0 = make_bundle(args.n, args.k0)
-    b1 = make_bundle(args.n, args.k1)
-    cert = separation_certificate(b0, b1, include_scal=args.scal)
+    b0 = bundle.make_bundle(args.n, args.k0)
+    b1 = bundle.make_bundle(args.n, args.k1)
+    cert = _library("moduli").separation_certificate(b0, b1, include_scal=args.scal)
     payload = cert.to_dict(quote_provenance=args.quote_provenance)
     if fmt == "pretty":
-        print(f"pair: n={payload['n']} k0={payload['k0']} k1={payload['k1']}")
-        print(f"metrics: {payload['metric_labels'][0]} vs {payload['metric_labels'][1]}")
-        print(f"sign_X: {payload['sign_X']}")
-        print(f"p1sq_X: {payload['p1sq_X']}")
-        print(f"ahat: {payload['ahat']}")
-        print(f"verdict: {payload['verdict']}")
-        print(f"curvature: {' '.join(payload['curvature_classes'])}")
-        if args.quote_provenance:
-            for step in payload["provenance"]:
-                print(f"  - {step}")
+        print(f"pair: n={payload['n']} k0={payload['k0']} k1={payload['k1']}",
+              f"metrics: {payload['metric_labels'][0]} vs {payload['metric_labels'][1]}",
+              *(f"{key}: {payload[key]}" for key in ("sign_X", "p1sq_X", "ahat", "verdict")),
+              f"curvature: {' '.join(payload['curvature_classes'])}",
+              *(f"  - {step}" for step in payload.get("provenance", ())), sep="\n")
     else:
         _emit_json(payload)
     return EXIT_CODES[cert.verdict]
@@ -169,13 +164,14 @@ def _emit_json(payload: dict, key: str | None = None, rows: Iterable[str] = ()) 
 def _certificates(rows: Iterable, ks: list[str], pieces: list[str] | None) -> Iterator[str]:
     """Member i's certificates in one string per row (i, ps, zero) of _components_rows, pretty lines or
     JSON items of pieces c0 k_i c1 k_j c2 k_i c3 k_j c4 p c5 verdict c6, filled by slice (README)."""
+    verdicts = _library("moduli")._SEPARATION_VERDICTS
     if pieces is None:
-        inconclusive, distinct = (f": {v} (p1sq_X = " for v in _SEPARATION_VERDICTS)
+        inconclusive, distinct = (f": {v} (p1sq_X = " for v in verdicts)
         firsts = [[f"  k0={k} k1=", None, distinct, None, "/1)\n"] for k in ks]
         columns, p_at, verdict = ((1, ks),), 3, 2
     else:
         c0, c1, c2, c3, c4, c5, c6 = pieces
-        inconclusive, distinct = (f'{c5}"{v}"{c6}' for v in _SEPARATION_VERDICTS)
+        inconclusive, distinct = (f'{c5}"{v}"{c6}' for v in verdicts)
         firsts = [[f"{c0}{k}{c1}", None, f"{c2}{k}{c3}", None, None, distinct] for k in ks]
         columns, p_at, verdict = ((1, ks), (3, [f"{k}{c4}" for k in ks])), 4, 5
     width = len(firsts[0])
@@ -199,35 +195,38 @@ def _components_lines(report: dict, ks: list[str]) -> list[str]:
 @functools.cache
 def _components_frame(fmt: str, scal: bool) -> tuple[int, int]:
     """The most fixed bytes of a components report's head and tail over each status and note, and a member's."""
+    moduli = _library("moduli")
     def size(members, certified, banner, note):
-        report = _components_dict(_stand_in(BundleClass), _MARK, [_MARK] * members, [], certified, banner,
-                                  _CURVATURE_CLASSES[scal], note)
+        report = moduli._components_dict(_stand_in(bundle.BundleClass), _MARK, [_MARK] * members, [], certified,
+                                         banner, moduli._CURVATURE_CLASSES[scal], note)
         lines = "".join(f"{line}\n" for line in (*_components_lines(report, report["family"]), note))
         return _fixed(report if fmt == "json" else lines, "certificates")
-    notes = (INFINITUDE_NOTE, INFINITUDE_NOTE_NONPOSITIVE, INFINITUDE_NOTE_OPPOSITE)
-    one = max(size(1, *status, note) for status in ((True, BANNER), (False, None), (None, None)) for note in notes)
-    return one, size(2, True, BANNER, notes[0]) - size(1, True, BANNER, notes[0])
+    notes = (moduli.INFINITUDE_NOTE, moduli.INFINITUDE_NOTE_NONPOSITIVE, moduli.INFINITUDE_NOTE_OPPOSITE)
+    one = max(size(1, *s, note) for s in ((True, moduli.BANNER), (False, None), (None, None)) for note in notes)
+    return one, size(2, True, moduli.BANNER, notes[0]) - size(1, True, moduli.BANNER, notes[0])
 
 
 def _cmd_components(args: SimpleNamespace, fmt: str) -> int:
+    moduli = _library("moduli")
     _check_limit("--pairs", args.pairs, MAX_PAIRS)
-    b = make_bundle(args.n, args.l)
+    b = bundle.make_bundle(args.n, args.l)
     pieces = None
     if fmt == "json":
         # a certificate is the base's but for k0, k1, p1sq_X and verdict; -n stands in for n < 0
-        sample = separation_certificate(*[b if b.euler > 0 else make_bundle(-b.euler, b.pont)] * 2, args.scal)
-        sample = sample.to_dict(args.quote_provenance)
+        sample = [b if b.euler > 0 else bundle.make_bundle(-b.euler, b.pont)] * 2
+        sample = moduli.separation_certificate(*sample, args.scal).to_dict(args.quote_provenance)
         sample.update(k0=_MARK, k1=_MARK, metric_labels=[f"GZ({_MARK})"] * 2, p1sq_X=f"{_MARK}/1", verdict=_MARK)
         pieces = _row_pieces(sample)
-    # the head prints at most n, l, pairs and the first member; a certificate k_i, k_j and p, |p| <= 896 pairs k
+    # the head prints n, l, pairs, a member; a certificate k_i, k_j (m, < 0 if l is), p (any sign, |p| <= 896 pairs k)
     pairs = max(args.pairs, 0)
     k = max(abs(args.l), abs(args.l + 112 * args.n * pairs))
+    m, p = -k if args.l < 0 else k, -(896 * pairs * k)
     frame, member = _components_frame(fmt, args.scal)
     certificate = max(_fixed(next(_certificates([(0, [_MARK], zero)], [_MARK] * 2, pieces))) for zero in (None, 0))
-    ints = (k, k, 896 * pairs * k) if pieces is None else (k, k, k, k, 896 * pairs * k)
-    _check_output_size((1, frame, args.n, args.l, pairs, args.l), (pairs, member, k),
+    ints = (m, m, p) if pieces is None else (m, m, m, m, p)
+    _check_output_size((1, frame, args.n, args.l, pairs, args.l), (pairs, member, m),
                        (pairs * (pairs + 1) // 2, certificate, *ints))
-    report, rows = _components_rows(b, args.pairs, include_scal=args.scal)
+    report, rows = moduli._components_rows(b, args.pairs, include_scal=args.scal)
     ks = [str(k) for k in report["family"]]
     if fmt == "pretty":
         print(*_components_lines(report, ks), sep="\n")
@@ -235,40 +234,48 @@ def _cmd_components(args: SimpleNamespace, fmt: str) -> int:
         print(report["note"])
     else:
         _emit_json(report, "certificates", _certificates(rows, ks, pieces))
-    return EXIT_CODES[DISTINCT_COMPONENTS if report["certified"] else INCONCLUSIVE]
+    return EXIT_CODES[moduli.DISTINCT_COMPONENTS if report["certified"] else moduli.INCONCLUSIVE]
 
 
 @functools.cache
 def _census_text(fmt: str, unoriented: bool, sphere: bool) -> tuple:
     """A census's head from (report, classes), a JSON payload, and texts of rows (firsts, count, mu) in fmt,
     the fixed bytes of its head and tail, and the most of a row over the mu of odd k at n = 1 (sphere)."""
-    (c0, c1, c2, c3), quote = _row_pieces(CensusClass.to_dict(_stand_in(CensusClass))), '"{}"'.format
+    classify, space = _library("classify"), _library("space")
+    Class, Report = classify.CensusClass, classify.CensusReport
+    (c0, c1, c2, c3), quote = _row_pieces(Class.to_dict(_stand_in(Class))), '"{}"'.format
+    # to_tsv of a class of mu _MARK and one of mu None, and print's newline: header t0, row k t1 count t2 mu t3
+    tsv = Report.to_tsv(_stand_in(Report, classes=(_stand_in(Class), _stand_in(Class, mu=None)))) + "\n"
+    t0, t1, t2, t3, _, no_mu = tsv.split(_MARK)
+    dash = no_mu.removeprefix(t2).removesuffix(t3)
     head, texts = {
-        "json": (lambda h, classes: CensusReport.to_dict(h), lambda rows: (
+        "json": (lambda h, classes: Report.to_dict(h), lambda rows: (
             f"{c0}{c}{c1}{'null' if mu is None else quote(mu)}{c2}{fs[0]}{c3}" for fs, c, mu in rows)),
-        "tsv": (lambda h, classes: "representative\tmembers_count\tmu\n", lambda rows: (
-            f"{fs[0]}\t{c}\t{'-' if mu is None else mu}\n" for fs, c, mu in rows)),
+        "tsv": (lambda h, classes: t0, lambda rows: (
+            f"{fs[0]}{t1}{c}{t2}{dash if mu is None else mu}{t3}" for fs, c, mu in rows)),
         "pretty": (lambda h, classes: f"n={h.n} range=[{h.k_from}, {h.k_to}] classes={classes} "
                    f"skipped={h.skipped} unknown_pairs={h.unknown_pairs_count}\n", lambda rows: (
             f"  k={fs[0]}: {c} members, mu={'-' if mu is None else mu}\n" for fs, c, mu in rows)),
     }[fmt]
-    mus = {_mu(x) for x in (_MU_NUM_FOLDED if unoriented else _MU_NUM)[1::2]} if sphere else (None,)
-    frame = _fixed(head(_stand_in(CensusReport, classes=(), unoriented=unoriented), _MARK), "classes")
+    mus = {space._mu(x) for x in (space._MU_NUM_FOLDED if unoriented else space._MU_NUM)[1::2]} if sphere else (None,)
+    frame = _fixed(head(_stand_in(Report, classes=(), unoriented=unoriented), _MARK), "classes")
     return head, texts, frame, max(_fixed(next(texts([((_MARK,), _MARK, mu)]))) for mu in mus)
 
 
 def _cmd_census(args: SimpleNamespace, fmt: str) -> int:
+    classify = _library("classify")
     # a class per first member for n > 1, counted from start and stop (len() of a range
     # overflows); <= 0 for the n and windows that census rejects
-    firsts = _census_firsts(args.n, args.k_from, args.k_to)
+    firsts = classify._census_firsts(args.n, args.k_from, args.k_to)
     classes = (firsts.stop - firsts.start + 1) // 2
     if classes > MAX_CENSUS_CLASSES:
         raise ValueError(f"census of {classes} classes exceeds the limit of {MAX_CENSUS_CLASSES}")
     head_text, texts, frame, row_bytes = _census_text(fmt, args.unoriented, args.n == 1)
     # the head prints n, the window, the classes, skipped and unknown pairs, a row k and its member count
     k, window = max(abs(args.k_from), abs(args.k_to)), args.k_to - args.k_from + 1
-    _check_output_size((1, frame, args.n, k, k, classes, window, window * window), (classes, row_bytes, k, window))
-    head, rows = _census_rows(args.n, args.k_from, args.k_to, args.unoriented)
+    _check_output_size((1, frame, args.n, args.k_from, args.k_to, classes, window, window * window),
+                       (classes, row_bytes, -k if args.k_from < 0 else k, window))
+    head, rows = classify._census_rows(args.n, args.k_from, args.k_to, args.unoriented)
     text = head_text(head, len(rows) if args.n == 1 else classes)
     if fmt == "json":
         _emit_json(text, "classes", texts(rows))
@@ -279,11 +286,11 @@ def _cmd_census(args: SimpleNamespace, fmt: str) -> int:
 
 
 def _cmd_realized_mu(args: SimpleNamespace, fmt: str) -> int:
-    values = realized_mu_set_unoriented() if args.unoriented else realized_mu_set()
+    space = _library("space")
+    values = space.realized_mu_set_unoriented() if args.unoriented else space.realized_mu_set()
     ordered = [str(q) for q in sorted(values)]
     if fmt == "pretty":
-        for v in ordered:
-            print(v)
+        print(*ordered, sep="\n")
     else:
         _emit_json({"count": len(ordered), "values": ordered})
     return 0
@@ -292,7 +299,7 @@ def _cmd_realized_mu(args: SimpleNamespace, fmt: str) -> int:
 @functools.cache
 def _family_text(fmt: str) -> tuple:
     """A family's head(n, l, step), a JSON payload, and member texts(n, ks) in fmt, with the fixed bytes of each."""
-    c0, c1, c2 = _row_pieces(BundleClass.to_dict(_stand_in(BundleClass)))
+    c0, c1, c2 = _row_pieces(bundle.BundleClass.to_dict(_stand_in(bundle.BundleClass)))
     head, texts = {
         "json": (lambda n, l, step: {"n": n, "l": l, "step": step}, lambda n, ks: (f"{c0}{n}{c1}{k}{c2}" for k in ks)),
         "tsv": (lambda n, l, step: "euler\tk\n", lambda n, ks: (f"{n}\t{k}\n" for k in ks)),
@@ -304,10 +311,11 @@ def _family_text(fmt: str) -> tuple:
 def _cmd_family(args: SimpleNamespace, fmt: str) -> int:
     _check_limit("--count", args.count, MAX_FAMILY_COUNT)
     head, texts, frame, row_bytes = _family_text(fmt)
-    # the head prints n, l and the step 112n, a member n and k
+    # the head prints n, l and the step 112n, a member n and k, negative when l is
     k = max(abs(args.l), abs(args.l + 112 * args.n * (args.count - 1)))
-    _check_output_size((1, frame, args.n, args.l, 112 * args.n), (args.count, row_bytes, args.n, k))
-    ks = _family_ks(make_bundle(args.n, args.l), args.count)
+    _check_output_size((1, frame, args.n, args.l, 112 * args.n),
+                       (args.count, row_bytes, args.n, -k if args.l < 0 else k))
+    ks = bundle._family_ks(bundle.make_bundle(args.n, args.l), args.count)
     text = head(args.n, args.l, ks.step)
     if fmt == "json":
         _emit_json(text, "members", texts(args.n, ks))

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .bundle import BundleClass
-from .classify import _family_ks
+from .bundle import BundleClass, _family_ks
 from .exactnum import Rational, _Value
 
 __all__ = [

@@ -803,13 +803,13 @@ class TestComponentsRenderer:
 
             monkeypatch.setattr(cls, "__init__", counting_init)
         yielded = []
-        components_rows = cli._components_rows
+        components_rows = moduli._components_rows
 
         def counting_rows(*args, **kwargs):
             report, rows = components_rows(*args, **kwargs)
             return report, (yielded.append(row) or row for row in rows)
 
-        monkeypatch.setattr(cli, "_components_rows", counting_rows)
+        monkeypatch.setattr(moduli, "_components_rows", counting_rows)
         code, out = capture_main(["components", "--n", "3", "--l", "1", "--pairs", "150", "--format", fmt])
         assert code == 0
         assert out.count("DistinctComponents") == 150 * 151 // 2
@@ -1109,7 +1109,9 @@ class TestWorkLimits:
         def refuse(*args, **kwargs):
             raise AssertionError(f"{worker} called for an output over the limit")
 
-        monkeypatch.setattr(cli, worker, refuse)
+        # each worker on the module that owns it, where the CLI reads it
+        owner = {"components": moduli, "family": bundle, "census": classify}[command]
+        monkeypatch.setattr(owner, worker, refuse)
         code, out = capture_main(self.over_budget_argv(command, 3000, 1, 0, 1800) + ["--format", fmt])
         assert (code, out) == (2, "")
 
@@ -1236,12 +1238,12 @@ class TestOutputEstimate:
     def test_a_longer_mu_lengthens_the_census_estimate(self, monkeypatch):
         # one n = 1 class printing a longer mu moves the estimate of every class row
         argv = ["census", "--n", "1", "--from", "1", "--to", "300", "--format", "tsv"]
-        before, mu, rows = self.stated(argv), cli._mu, len(capture_main(argv)[1].splitlines()) - 1
-        long_x = cli._MU_NUM[5]
-        monkeypatch.setattr(cli, "_mu", lambda x: "9" * 40 if x == long_x else mu(x))
+        before, mu, rows = self.stated(argv), space._mu, len(capture_main(argv)[1].splitlines()) - 1
+        long_x = space._MU_NUM[5]
+        monkeypatch.setattr(space, "_mu", lambda x: "9" * 40 if x == long_x else mu(x))
         cli._census_text.cache_clear()
         try:
-            assert self.stated(argv) - before >= (40 - max(len(str(mu(x))) for x in cli._MU_NUM)) * rows
+            assert self.stated(argv) - before >= (40 - max(len(str(mu(x))) for x in space._MU_NUM)) * rows
         finally:
             cli._census_text.cache_clear()
 
@@ -1285,15 +1287,17 @@ class TestOutputEstimate:
             assert (code, out.getvalue()) == (2, "") and message in err.getvalue()
 
     @pytest.mark.parametrize("x, sharp", [
-        (1, True), (9, False), (10, True), (2**288 + 1, True), (2**680 + 1, False), (10**50 - 1, False),
+        (0, True), (1, True), (9, False), (10, True), (2**288 + 1, True), (2**680 + 1, False), (10**50 - 1, False),
         (10**50, True), (10**3000 + 1, True),
     ])
     def test_an_int_is_bounded_by_its_sign_and_digits(self, x, sharp):
-        # from bit_length(), the bound on the text of x or -x is at most one byte over, and none when sharp
-        with mock.patch.object(cli, "MAX_OUTPUT_BYTES", 0), pytest.raises(ValueError) as refusal:
-            cli._check_output_size((1, 0, x))
-        bound = int(str(refusal.value).split("output of about ")[1].split()[0])
-        assert bound == len(str(-x)) + (not sharp)
+        # from bit_length(), the bound on the text of x or -x is at most one byte over, and none when
+        # sharp; only a negative int is charged a sign byte
+        for signed in (-x, x):
+            with mock.patch.object(cli, "MAX_OUTPUT_BYTES", 0), pytest.raises(ValueError) as refusal:
+                cli._check_output_size((1, 0, signed))
+            bound = int(str(refusal.value).split("output of about ")[1].split()[0])
+            assert bound == len(str(signed)) + (not sharp)
 
     def test_an_estimate_equal_to_the_limit_is_admitted(self):
         argv = ["family", "--n", "1", "--l", "1", "--count", "3"]

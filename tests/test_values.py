@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -315,3 +316,71 @@ def test_well_formed_query_loads_no_argparse():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def fresh_interpreter(code: str, *argv: str) -> str:
+    """The stdout of code run with argv in a fresh interpreter that imports spherectl from this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spherectl.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# a cold query of each command and the library modules it loads (README "Cold start")
+COLD_QUERIES = {
+    "invariants": (["invariants", "--n", "1", "--k", "3"], {"exactnum", "bundle", "space"}),
+    "realized-mu": (["realized-mu"], {"exactnum", "bundle", "space"}),
+    "classify": (["classify", "--n1", "1", "--k1", "3", "--n2", "1", "--k2", "115"],
+                 {"exactnum", "bundle", "space", "classify"}),
+    "census": (["census", "--n", "1", "--from", "1", "--to", "300"], {"exactnum", "bundle", "space", "classify"}),
+    "certify": (["certify", "--n", "1", "--k0", "1", "--k1", "113"], {"exactnum", "bundle", "moduli"}),
+    "components": (["components", "--n", "1", "--l", "3", "--pairs", "3"], {"exactnum", "bundle", "moduli"}),
+    "family": (["family", "--n", "1", "--l", "1", "--count", "3"], {"exactnum", "bundle"}),
+}
+
+
+@pytest.mark.parametrize("argv, modules", COLD_QUERIES.values(), ids=COLD_QUERIES)
+def test_a_cold_query_loads_only_the_modules_its_command_runs(argv, modules):
+    """Run as `python -m spherectl.cli` runs it, a query imports the package, which loads no module by
+    itself, and the library modules its command runs, no other: cli runs as __main__ and is never
+    imported under its own name, and spherectl loads no heapq that the interpreter had not."""
+    code = (
+        "import contextlib, io, runpy, sys\n"
+        "heapq_before = 'heapq' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('spherectl.cli', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exit:\n"
+        "        assert exit.code == 0, exit.code\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('spherectl'))))\n"
+        "print(heapq_before or 'heapq' not in sys.modules)"
+    )
+    loaded, no_heapq = fresh_interpreter(code, *argv).split("\n")[:2]
+    assert "spherectl.cli" not in loaded.split()
+    assert set(loaded.split()) == {"spherectl"} | {f"spherectl.{m}" for m in modules}
+    assert no_heapq == "True"
+
+
+def test_the_package_loads_its_modules_on_the_first_read_of_a_name():
+    """import spherectl alone loads no submodule; the first read of one public name, or a star import,
+    loads all five and binds the 41 names of __all__, each the object its module defines."""
+    code = (
+        "import json, sys, spherectl\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('spherectl.'))\n"
+        "before = loaded()\n"
+        "if sys.argv[1] == 'name':\n"
+        "    spherectl.census\n"
+        "else:\n"
+        "    exec('from spherectl import *', star := {})\n"
+        "    assert sorted(star.keys() - {'__builtins__'}) == sorted(spherectl.__all__)\n"
+        "modules = [sys.modules[f'spherectl.{m}'] for m in ('bundle', 'classify', 'exactnum', 'moduli', 'space')]\n"
+        "assert spherectl.__all__ == [name for m in modules for name in m.__all__]\n"
+        "assert all(vars(spherectl)[name] is getattr(m, name) for m in modules for name in m.__all__)\n"
+        "print(json.dumps([before, loaded(), spherectl.__all__]))"
+    )
+    for first_read in ("name", "star"):
+        before, after, names = json.loads(fresh_interpreter(code, first_read))
+        assert before == []
+        assert after == [f"spherectl.{m}" for m in ("bundle", "classify", "exactnum", "moduli", "space")]
+        assert len(names) == len(set(names)) == 41
