@@ -239,13 +239,8 @@ def _census_firsts(n: int, k_from: int, k_to: int) -> range:
 def _census_rows(
     n: int, k_from: int, k_to: int, unoriented: bool = False
 ) -> tuple[CensusReport, Iterable[tuple[tuple[int, ...], int, QmodZ | None]]]:
-    """The census report with classes=(), and its classes as rows (firsts, count, mu)
-    in the order of their representatives firsts[0]; census states the cost model.
-
-    firsts holds the first member f of each residue mod 112n in the class, and count sums
-    (k_to - f)//112n + 1 over them.  For n > 1 each residue is a class and mu is None; for
-    n = 1 residues are grouped by the numerator x of mu = x/224 mod 1, and mu is _mu(x).
-    """
+    """The census report with classes=(), and its classes as rows (firsts, count, mu) in the
+    order of firsts[0], as README "Census" sets out; census states the cost model."""
     if n <= 0:
         raise ValueError("census requires n > 0")
     if k_to < k_from:

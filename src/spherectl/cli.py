@@ -74,16 +74,13 @@ def _resolve_format(args: SimpleNamespace) -> str:
 
 def _cmd_invariants(args: SimpleNamespace, fmt: str) -> int:
     o = bundle.NEGATIVE if args.reverse_orientation else bundle.POSITIVE
-    d = _library("space").dossier(bundle.make_bundle(args.n, args.k), o)
-    if fmt == "pretty":
-        info = d.to_dict()
-        print(f"bundle: euler={info['euler']} k={info['k']}", f"orientation: {info['orientation']:+d}",
-              f"cohomology: [{', '.join(info['cohomology'])}]",
-              f"homotopy sphere: {'yes' if info['is_homotopy_sphere'] else 'no'}",
-              *(f"{key}: {info[key]}" for key in ("sign_W", "p1sq_W")),
-              f"mu: {info['mu'] if info['mu'] is not None else '-'}", sep="\n")
-    else:
-        _emit_json(d.to_dict())
+    info = _library("space").dossier(bundle.make_bundle(args.n, args.k), o).to_dict()
+    _emit(info if fmt == "json" else "".join(f"{line}\n" for line in (
+        f"bundle: euler={info['euler']} k={info['k']}", f"orientation: {info['orientation']:+d}",
+        f"cohomology: [{', '.join(info['cohomology'])}]",
+        f"homotopy sphere: {'yes' if info['is_homotopy_sphere'] else 'no'}",
+        *(f"{key}: {info[key]}" for key in ("sign_W", "p1sq_W")),
+        f"mu: {info['mu'] if info['mu'] is not None else '-'}")))
     return 0
 
 
@@ -95,10 +92,7 @@ def _cmd_classify(args: SimpleNamespace, fmt: str) -> int:
     verdict = decide(b1, b2)
     payload = {"b1": b1.to_dict(), "b2": b2.to_dict(), "unoriented": args.unoriented}
     payload.update(verdict.to_dict())
-    if fmt == "pretty":
-        print(f"{verdict.answer} ({verdict.reason})")
-    else:
-        _emit_json(payload)
+    _emit(payload if fmt == "json" else f"{verdict.answer} ({verdict.reason})\n")
     return EXIT_CODES[verdict.answer]
 
 
@@ -107,14 +101,12 @@ def _cmd_certify(args: SimpleNamespace, fmt: str) -> int:
     b1 = bundle.make_bundle(args.n, args.k1)
     cert = _library("moduli").separation_certificate(b0, b1, include_scal=args.scal)
     payload = cert.to_dict(quote_provenance=args.quote_provenance)
-    if fmt == "pretty":
-        print(f"pair: n={payload['n']} k0={payload['k0']} k1={payload['k1']}",
-              f"metrics: {payload['metric_labels'][0]} vs {payload['metric_labels'][1]}",
-              *(f"{key}: {payload[key]}" for key in ("sign_X", "p1sq_X", "ahat", "verdict")),
-              f"curvature: {' '.join(payload['curvature_classes'])}",
-              *(f"  - {step}" for step in payload.get("provenance", ())), sep="\n")
-    else:
-        _emit_json(payload)
+    _emit(payload if fmt == "json" else "".join(f"{line}\n" for line in (
+        f"pair: n={payload['n']} k0={payload['k0']} k1={payload['k1']}",
+        f"metrics: {payload['metric_labels'][0]} vs {payload['metric_labels'][1]}",
+        *(f"{key}: {payload[key]}" for key in ("sign_X", "p1sq_X", "ahat", "verdict")),
+        f"curvature: {' '.join(payload['curvature_classes'])}",
+        *(f"  - {step}" for step in payload.get("provenance", ())))))
     return EXIT_CODES[cert.verdict]
 
 
@@ -141,24 +133,28 @@ def _row_pieces(sample: dict) -> list[str]:
 
 
 def _json_frame(payload: dict, key: str) -> tuple[str, str]:
-    """The text that _emit_json writes before and after the rows of payload's list at key."""
+    """The text that _emit writes before and after the rows of payload's list at key."""
     head, tail = json.dumps({**payload, key: []}, indent=2, sort_keys=True).split(f'"{key}": []', 1)
     return f'{head}"{key}": [', f"\n  ]{tail}\n"
 
 
-def _emit_json(payload: dict, key: str | None = None, rows: Iterable[str] = ()) -> None:
-    """Print json.dumps(payload, indent=2, sort_keys=True), the one JSON writer of every report, the list
-    at key written from rows around _json_frame, a row being items each led by ",\n" but the first."""
-    rows = iter(rows)
-    first = next(rows, None)
-    out = sys.stdout
-    if first is None:
-        out.write(f"{json.dumps(payload if key is None else {**payload, key: []}, indent=2, sort_keys=True)}\n")
-        return
-    head, tail = _json_frame(payload, key)
-    out.write(f"{head}{first[1:]}")
-    out.writelines(rows)
-    out.write(tail)
+def _emit(head: str | dict, key: str | None = None, rows: Iterable[str] = (), tail: str = "") -> None:
+    """The one writer of every command: a text head, then rows, then tail; a dict head as json.dumps(head,
+    indent=2, sort_keys=True), the list at key written from rows around _json_frame, each led by ",\n"."""
+    if isinstance(head, dict):
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is None:
+            head, tail = f"{json.dumps(head if key is None else {**head, key: []}, indent=2, sort_keys=True)}\n", ""
+        else:
+            frame, tail = _json_frame(head, key)
+            head = f"{frame}{first[1:]}"
+    sys.stdout.write(head)
+    sys.stdout.writelines(rows)
+    sys.stdout.write(tail)
+
+
+_emit_json = _emit  # perfbench/layers.py traces the writer by this name, and so each alias of it
 
 
 def _certificates(rows: Iterable, ks: list[str], pieces: list[str] | None) -> Iterator[str]:
@@ -185,11 +181,11 @@ def _certificates(rows: Iterable, ks: list[str], pieces: list[str] | None) -> It
         yield "".join(parts)
 
 
-def _components_lines(report: dict, ks: list[str]) -> list[str]:
-    """The lines of a pretty components report before its certificates; the note follows them."""
-    status = ([report["banner"], f"curvature: {' '.join(report['curvature_classes'])}"] if report["banner"]
-              else ["verdict withheld" if report["certified"] is None else "certification failed"])
-    return [*status, f"family: {' '.join(ks)}"]
+def _components_text(report: dict, ks: list[str]) -> tuple[str, str]:
+    """The text of a pretty components report before and after its certificates."""
+    status = (f"{report['banner']}\ncurvature: {' '.join(report['curvature_classes'])}" if report["banner"]
+              else "verdict withheld" if report["certified"] is None else "certification failed")
+    return f"{status}\nfamily: {' '.join(ks)}\n", f"{report['note']}\n"
 
 
 @functools.cache
@@ -199,8 +195,8 @@ def _components_frame(fmt: str, scal: bool) -> tuple[int, int]:
     def size(members, certified, banner, note):
         report = moduli._components_dict(_stand_in(bundle.BundleClass), _MARK, [_MARK] * members, [], certified,
                                          banner, moduli._CURVATURE_CLASSES[scal], note)
-        lines = "".join(f"{line}\n" for line in (*_components_lines(report, report["family"]), note))
-        return _fixed(report if fmt == "json" else lines, "certificates")
+        return _fixed(report if fmt == "json" else "".join(_components_text(report, report["family"])),
+                      "certificates")
     notes = (moduli.INFINITUDE_NOTE, moduli.INFINITUDE_NOTE_NONPOSITIVE, moduli.INFINITUDE_NOTE_OPPOSITE)
     one = max(size(1, *s, note) for s in ((True, moduli.BANNER), (False, None), (None, None)) for note in notes)
     return one, size(2, True, moduli.BANNER, notes[0]) - size(1, True, moduli.BANNER, notes[0])
@@ -228,19 +224,16 @@ def _cmd_components(args: SimpleNamespace, fmt: str) -> int:
                        (pairs * (pairs + 1) // 2, certificate, *ints))
     report, rows = moduli._components_rows(b, args.pairs, include_scal=args.scal)
     ks = [str(k) for k in report["family"]]
-    if fmt == "pretty":
-        print(*_components_lines(report, ks), sep="\n")
-        sys.stdout.writelines(_certificates(rows, ks, None))
-        print(report["note"])
-    else:
-        _emit_json(report, "certificates", _certificates(rows, ks, pieces))
+    head, tail = (report, "") if fmt == "json" else _components_text(report, ks)
+    _emit(head, "certificates", _certificates(rows, ks, pieces), tail)
     return EXIT_CODES[moduli.DISTINCT_COMPONENTS if report["certified"] else moduli.INCONCLUSIVE]
 
 
 @functools.cache
 def _census_text(fmt: str, unoriented: bool, sphere: bool) -> tuple:
     """A census's head from (report, classes), a JSON payload, and texts of rows (firsts, count, mu) in fmt,
-    the fixed bytes of its head and tail, and the most of a row over the mu of odd k at n = 1 (sphere)."""
+    the fixed bytes of its head and tail, the most of a row over the mu of odd k at n = 1 (sphere), and the
+    most rows: one per such mu at n = 1."""
     classify, space = _library("classify"), _library("space")
     Class, Report = classify.CensusClass, classify.CensusReport
     (c0, c1, c2, c3), quote = _row_pieces(Class.to_dict(_stand_in(Class))), '"{}"'.format
@@ -259,7 +252,8 @@ def _census_text(fmt: str, unoriented: bool, sphere: bool) -> tuple:
     }[fmt]
     mus = {space._mu(x) for x in (space._MU_NUM_FOLDED if unoriented else space._MU_NUM)[1::2]} if sphere else (None,)
     frame = _fixed(head(_stand_in(Report, classes=(), unoriented=unoriented), _MARK), "classes")
-    return head, texts, frame, max(_fixed(next(texts([((_MARK,), _MARK, mu)]))) for mu in mus)
+    row = max(_fixed(next(texts([((_MARK,), _MARK, mu)]))) for mu in mus)
+    return head, texts, frame, row, len(mus) if sphere else MAX_CENSUS_CLASSES
 
 
 def _cmd_census(args: SimpleNamespace, fmt: str) -> int:
@@ -270,18 +264,13 @@ def _cmd_census(args: SimpleNamespace, fmt: str) -> int:
     classes = (firsts.stop - firsts.start + 1) // 2
     if classes > MAX_CENSUS_CLASSES:
         raise ValueError(f"census of {classes} classes exceeds the limit of {MAX_CENSUS_CLASSES}")
-    head_text, texts, frame, row_bytes = _census_text(fmt, args.unoriented, args.n == 1)
+    head_text, texts, frame, row_bytes, most = _census_text(fmt, args.unoriented, args.n == 1)
     # the head prints n, the window, the classes, skipped and unknown pairs, a row k and its member count
     k, window = max(abs(args.k_from), abs(args.k_to)), args.k_to - args.k_from + 1
     _check_output_size((1, frame, args.n, args.k_from, args.k_to, classes, window, window * window),
-                       (classes, row_bytes, -k if args.k_from < 0 else k, window))
+                       (min(classes, most), row_bytes, -k if args.k_from < 0 else k, window))
     head, rows = classify._census_rows(args.n, args.k_from, args.k_to, args.unoriented)
-    text = head_text(head, len(rows) if args.n == 1 else classes)
-    if fmt == "json":
-        _emit_json(text, "classes", texts(rows))
-    else:
-        sys.stdout.write(text)
-        sys.stdout.writelines(texts(rows))
+    _emit(head_text(head, len(rows) if args.n == 1 else classes), "classes", texts(rows))
     return 0
 
 
@@ -289,10 +278,7 @@ def _cmd_realized_mu(args: SimpleNamespace, fmt: str) -> int:
     space = _library("space")
     values = space.realized_mu_set_unoriented() if args.unoriented else space.realized_mu_set()
     ordered = [str(q) for q in sorted(values)]
-    if fmt == "pretty":
-        print(*ordered, sep="\n")
-    else:
-        _emit_json({"count": len(ordered), "values": ordered})
+    _emit({"count": len(ordered), "values": ordered} if fmt == "json" else "".join(f"{q}\n" for q in ordered))
     return 0
 
 
@@ -316,12 +302,7 @@ def _cmd_family(args: SimpleNamespace, fmt: str) -> int:
     _check_output_size((1, frame, args.n, args.l, 112 * args.n),
                        (args.count, row_bytes, args.n, -k if args.l < 0 else k))
     ks = bundle._family_ks(bundle.make_bundle(args.n, args.l), args.count)
-    text = head(args.n, args.l, ks.step)
-    if fmt == "json":
-        _emit_json(text, "members", texts(args.n, ks))
-    else:
-        sys.stdout.write(text)
-        sys.stdout.writelines(texts(args.n, ks))
+    _emit(head(args.n, args.l, ks.step), "members", texts(args.n, ks))
     return 0
 
 

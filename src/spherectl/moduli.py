@@ -295,12 +295,9 @@ def _opposite_sum(b: BundleClass) -> int:
 
 
 def _components_head(b: BundleClass, pairs: int, include_scal: bool = True) -> dict:
-    """ComponentsReport.to_dict() of the family of b without its certificates, from the
-    members' k (no BundleClass per member), with certified, banner and note in O(1): with the
-    integers q[j] = (4*k_j^2 - 4*l^2)/n = 896*l*j + 50176*n*j^2, members i < j glue to p1^2[X] =
-    q[i] - q[j] = -448*(j - i)*(2l + 112n*(i + j)), zero exactly when i + j = -l/(56n): with pairs >= 1
-    some pair fails exactly when l < 0, 56n | l and 1 <= -l/(56n) <= 2*pairs - 1.
-    """
+    """ComponentsReport.to_dict() of the family of b without its certificates, from the members' k
+    (no BundleClass per member), with certified, banner and note in O(1) (README "Components"):
+    with pairs >= 1 some pair fails exactly when l < 0, 56n | l and 1 <= -l/(56n) <= 2*pairs - 1."""
     if pairs < 0:
         raise ValueError("pairs must be nonnegative")
     family, z = list(_family_ks(b, pairs + 1)), _opposite_sum(b)
@@ -313,12 +310,9 @@ def _components_head(b: BundleClass, pairs: int, include_scal: bool = True) -> d
 def _components_rows(
     b: BundleClass, pairs: int, include_scal: bool = True
 ) -> tuple[dict, Iterator[tuple[int, list[str], int | None]]]:
-    """_components_head(b, pairs, include_scal), and the certificates as closed-form rows.
-
-    A row (i, ps, zero) per member i < pairs, the one enumeration of the pairs, has ps the text
-    of p = q[i] - q[j] for j = i+1..pairs (see _components_head), one f-string each, and zero
-    the index of the one pair that can have p == 0, j = -l/(56n) - i, or None.
-    """
+    """_components_head(b, pairs, include_scal), and the certificates as rows (i, ps, zero), one per
+    member i < pairs: ps the text of p1^2[X] = q[i] - q[j] for j = i+1..pairs, one f-string each, and
+    zero the index of the one pair that can have p1^2[X] = 0, or None (README "Components")."""
     head = _components_head(b, pairs, include_scal)
     n, l, z = b.euler, b.pont, _opposite_sum(b)
 

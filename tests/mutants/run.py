@@ -72,6 +72,8 @@ _SIGPIPE = ("is part of the SIGPIPE idiom of the Python docs (signal module, 'No
             "empty stderr on CPython 3.11.7, with 3, 20 and 200 pairs")
 _UNSIGNED_AT_ZERO = ("charges {} a sign byte also at {} = 0, where none prints negative: one byte more per int, "
                      "which only loosens the estimate")
+_FARTHER = ("bounds k by l + {}*{} instead of the last {} member: k = max(|l|, |l + x|) grows with x, "
+            "so the estimate only grows, by at most a digit per int{}")
 KNOWN = {
     ("bundle", "pont - euler", "arith - -> +"): "pont - euler and pont + euler have the same parity",
     ("bundle", "b.euler <= 0", "cmp <= -> <"): "BundleClass has already refused euler == 0",
@@ -104,14 +106,15 @@ KNOWN = {
     ("cli", "args.k_from < 0", "cmp < -> <="): _UNSIGNED_AT_ZERO.format("a census row's k", "k_from"),
     ("cli", "args.k_from < 0", "int"): _UNSIGNED_AT_ZERO.format("a census row's k", "k_from"),
     ("cli", "112 * args.n", "int"): "113n bounds the digits of the family's step 112n too",
+    ("cli", "112 * args.n #2", "int"): _FARTHER.format("pairs", "113n", "components", ""),
+    ("cli", "112 * args.n #3", "int"): _FARTHER.format("(count - 1)", "113n", "family", ""),
+    ("cli", "args.count - 1", "arith - -> +"): _FARTHER.format(
+        "(count + 1)", "112n", "family", ", but for one member by the digits of 224n, and its row prints n"),
     ("cli", "args.k_to - args.k_from + 1", "int"): "a window one longer bounds the census counts too",
     ("cli", "args.k_to - args.k_from + 1", "arith + -> -"):
         "the window less 2 bounds the census counts too: a class has at most (window + 1)/2 members, "
         "skipped is at most that and the unknown pairs (window^2 - 1)/8, and below a window of 5 each "
         "of them prints 1 digit, which the digit bound of 2 bytes covers",
-    ("cli", "(1, frame, args.n, args.k_from, args.k_to, classes, window, window * window)", "int"):
-        "counts the census head twice: the head is part of what is written, and its estimate exceeds "
-        "it only by a byte or two per int",
     ("cli", "(1, frame, args.n, args.l, 112 * args.n)", "int"):
         "counts the family head twice: the head is part of what is written, and its estimate exceeds "
         "it only by a byte or two per int",

@@ -255,18 +255,23 @@ class TestOutputContract:
         ["family", "--n", "1", "--l", "3", "--count", "3"],
     ], ids=lambda argv: argv[0])
     def test_every_json_report_prints_through_one_writer(self, capsys, monkeypatch, argv):
-        calls = []
-        emit = cli._emit_json
+        # in every format the command accepts, one _emit call writes all of stdout
+        emit, written = cli._emit, []
 
-        def counting_emit(*args, **kwargs):
-            calls.append(args)
-            emit(*args, **kwargs)
+        def recording_emit(*args, **kwargs):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                emit(*args, **kwargs)
+            written.append(out.getvalue())
+            sys.stdout.write(out.getvalue())
 
-        monkeypatch.setattr(cli, "_emit_json", counting_emit)
-        code, out, _ = run(capsys, *argv, "--format", "json")
-        assert code == 0
-        assert len(calls) == 1
-        json.loads(out)
+        monkeypatch.setattr(cli, "_emit", recording_emit)
+        for fmt in ("json", "pretty", "tsv") if argv[0] in ("census", "family") else ("json", "pretty"):
+            written.clear()
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert written == [out] and out.endswith("\n")
+            if fmt == "json":
+                json.loads(out)
 
     def test_env_var_overrides_format(self, capsys, monkeypatch):
         monkeypatch.setenv("SPHERECTL_FORMAT", "pretty")
@@ -763,10 +768,10 @@ class TestComponentsRenderer:
             return
         # components writes each family member's certificates in one call, member i holding
         # pairs - i of them, between the head and the tail: in JSON the head shares its write
-        # with member 0 and the tail is 1 write, in pretty they are 6 and 2 writes of their own
+        # with member 0 and the tail is 1 write, in pretty they are 1 write each of their own
         pairs, fmt = 40, argv[-1]
-        head, tail, marker = {"json": (0, 1, '"k0": '), "pretty": (6, 2, "  k0=")}[fmt]
-        assert len(writes) == {"json": pairs + 1, "pretty": pairs + 8}[fmt]
+        head, tail, marker = {"json": (0, 1, '"k0": '), "pretty": (1, 1, "  k0=")}[fmt]
+        assert len(writes) == {"json": pairs + 1, "pretty": pairs + 2}[fmt]
         assert [text.count(marker) for text in writes] == [0] * head + list(range(pairs, 0, -1)) + [0] * tail
         # so no write holds more than the head and member 0's certificates, about 2/(pairs+1) of the output
         assert max(sizes) * (pairs + 1) < 2 * sum(sizes)
@@ -1201,20 +1206,22 @@ class TestOutputEstimate:
         assert written <= self.stated(argv) <= 2 * written + 2**16
 
     # -6719 + 112*3*20 = 1, so only the larger end bounds k; --pairs -5 prints no pair;
-    # 896*585 and 897*585 straddle a digit of the bound; n = 98 prints 67,338,705 bytes
+    # 896*585 and 897*585 straddle a digit of the bound; n = 98 prints 67,338,705 bytes;
+    # the last member 5003 + 112*89 = 14971 has a digit more than both 5003 and |5003 - 112*89|
     @pytest.mark.parametrize("n, l, pairs, fmt, quote", [
         (3, -6719, 194, "json", False), (3, -6719, 194, "json", True), (3, -6719, 194, "pretty", False),
         (1, -6719, -5, "json", False), (3, 1, 194, "json", False), (1, -585, 1, "json", False),
-        (1, -585, 1, "pretty", False), (98, -99999999998, 500, "json", False),
+        (1, -585, 1, "pretty", False), (98, -99999999998, 500, "json", False), (1, 5003, 89, "json", False),
     ])
     def test_components(self, n, l, pairs, fmt, quote):
         argv = ["components", "--n", str(n), "--l", str(l), "--pairs", str(pairs), "--format", fmt]
         self.assert_bounds(argv + ["--quote-provenance"] * quote)
 
-    # 2^288 + 1 and 2^680 + 1 have bit lengths where the digit bound is sharp
+    # 2^288 + 1 and 2^680 + 1 have bit lengths where the digit bound is sharp; of the
+    # members 0 and 112000, only the last bounds k
     @pytest.mark.parametrize("n, l, count, fmt", [
         (3, 1, 0, "json"), (3, 1, 0, "tsv"), (3, 1, 0, "pretty"), (1, 1, 4681, "json"),
-        (1, -9999, 4681, "json"), (1, 2**288 + 1, 1, "json"), (1, 2**680 + 1, 1, "json"),
+        (1, -9999, 4681, "json"), (1, 2**288 + 1, 1, "json"), (1, 2**680 + 1, 1, "json"), (1000, 0, 2, "json"),
     ])
     def test_family(self, n, l, count, fmt):
         self.assert_bounds(["family", "--n", str(n), "--l", str(l), "--count", str(count), "--format", fmt])
@@ -1224,6 +1231,16 @@ class TestOutputEstimate:
     ])
     def test_census(self, k_from, k_to, fmt):
         self.assert_bounds(["census", "--n", "1", "--from", str(k_from), "--to", str(k_to), "--format", fmt])
+
+    # at most 16 classes print at n = 1 (11 unoriented), however many of the 56 residues the window holds
+    @pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
+    @pytest.mark.parametrize("unoriented", [False, True])
+    @pytest.mark.parametrize("k_from, k_to", [(1, 3), (-9, 502), (-1000, 1000), (1, 100000)])
+    def test_an_n1_census_is_sized_by_the_classes_it_prints(self, k_from, k_to, unoriented, fmt):
+        argv = ["census", "--n", "1", "--from", str(k_from), "--to", str(k_to), "--format", fmt]
+        argv += ["--unoriented"] * unoriented
+        written = len(capture_main(argv)[1].encode())
+        assert written <= self.stated(argv) <= 2 * written
 
     @pytest.mark.parametrize("name, added, quote", [("GENERAL_N_DERIVATION", " and so on", False),
                                                     ("PROVENANCE_STEPS", ("one more step",), True)])
