@@ -1,7 +1,8 @@
 """Mutation check: every rule of spherectl must be pinned by a test.
 
 Each mutant changes one site of one module of src/spherectl and runs the
-tier-1 suite against it with -x and a fixed hypothesis seed.  A mutant is
+tier-1 suite against it with -x and a fixed hypothesis seed, on a temporary
+copy of the package of its own, from an empty working directory.  A mutant is
 killed when the suite fails or runs past the timeout (deleting an output-size
 guard, for instance, lets the suite run for minutes before it fails), and it
 survives when the suite passes.  A survivor is live unless it is listed in
@@ -19,8 +20,10 @@ A mutant is keyed by (module, source text, operator): the source text is the
 mutated statement or expression (for an int literal, the expression holding
 it) with its whitespace collapsed, and a key that recurs in a module gets
 " #2", " #3", ... in the order of ast.walk.  Line numbers are not part of the
-key, so KNOWN survives edits elsewhere.  A KNOWN entry that is no longer a
-mutant is printed as STALE, and one that a test now kills as KILLED.
+key, so KNOWN survives edits elsewhere; --since uses them only to pick the
+mutants whose node spans a line that `git diff -U0 REV` adds or changes in
+src/spherectl.  A KNOWN entry that is no longer a mutant is printed as STALE,
+and one that a test now kills as KILLED.
 
 Before any mutant, the unmutated package runs the same suite once as a
 control.  If the control fails, or takes more than half of the timeout, the
@@ -31,9 +34,10 @@ Stdlib only, on 2 worker processes:
 
   python tests/mutants/run.py               # every mutant
   python tests/mutants/run.py --sample 40   # 40 mutants drawn with SAMPLE_SEED
+  python tests/mutants/run.py --since REV   # the mutants on the lines changed since REV
 
 Exit status 0 when no live mutant survives, 1 when one does, 2 when the
-control fails or is too slow.
+control fails or is too slow, or git cannot diff against REV.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from __future__ import annotations
 import argparse
 import ast
 import os
-import queue
 import random
 import shutil
 import signal
@@ -124,8 +127,19 @@ KNOWN = {
 }
 
 
-def _text(src: str, node: ast.AST) -> str:
-    return " ".join((ast.get_source_segment(src, node) or ast.unparse(node)).split())
+def _text(lines: list[bytes], node: ast.AST) -> str:
+    """The source of node with its whitespace collapsed, as ast.get_source_segment reads it from lines,
+    the module's source split once, in bytes since the column offsets count UTF-8 bytes.  A node with no
+    position, the ast.arguments that holds a default, is unparsed."""
+    if not hasattr(node, "lineno"):
+        return " ".join(ast.unparse(node).split())
+    segment = b"".join(lines[node.lineno - 1:node.end_lineno])
+    end = len(segment) - len(lines[node.end_lineno - 1]) + node.end_col_offset
+    return " ".join(segment[node.col_offset:end].decode().split())
+
+
+def _lines(node: ast.AST) -> range:
+    return range(node.lineno, node.end_lineno + 1)
 
 
 def _function_bodies(fn: ast.FunctionDef):
@@ -147,35 +161,39 @@ def _is_docstring(stmt: ast.stmt) -> bool:
 
 
 def _sites(src: str, tree: ast.Module):
-    """(operator, source text, apply) for every mutation site of tree, in a fixed order."""
+    """(operator, source text, apply, lines) for every mutation site of tree, in a fixed order; lines is
+    the range of source lines that the mutated node spans."""
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    lines = src.encode().splitlines(keepends=True)
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare):
             for j, op in enumerate(node.ops):
                 if type(op) in CMP:
                     new = CMP[type(op)]
                     where = f" @{j}" if len(node.ops) > 1 else ""
-                    yield (f"cmp {SYMBOL[type(op)]} -> {SYMBOL[new]}{where}", _text(src, node),
-                           lambda node=node, j=j, new=new: node.ops.__setitem__(j, new()))
+                    yield (f"cmp {SYMBOL[type(op)]} -> {SYMBOL[new]}{where}", _text(lines, node),
+                           lambda node=node, j=j, new=new: node.ops.__setitem__(j, new()), _lines(node))
         elif isinstance(node, ast.BinOp) and type(node.op) in ARITH:
             new = ARITH[type(node.op)]
-            yield (f"arith {SYMBOL[type(node.op)]} -> {SYMBOL[new]}", _text(src, node),
-                   lambda node=node, new=new: setattr(node, "op", new()))
+            yield (f"arith {SYMBOL[type(node.op)]} -> {SYMBOL[new]}", _text(lines, node),
+                   lambda node=node, new=new: setattr(node, "op", new()), _lines(node))
         elif isinstance(node, ast.Constant) and type(node.value) is int:
-            yield "int", _text(src, parents[node]), lambda node=node: setattr(node, "value", node.value + 1)
+            yield ("int", _text(lines, parents[node]), lambda node=node: setattr(node, "value", node.value + 1),
+                   _lines(node))
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("min", "max"):
             new = "max" if node.func.id == "min" else "min"
-            yield (f"call {node.func.id} -> {new}", _text(src, node),
-                   lambda node=node, new=new: setattr(node.func, "id", new))
+            yield (f"call {node.func.id} -> {new}", _text(lines, node),
+                   lambda node=node, new=new: setattr(node.func, "id", new), _lines(node))
         elif isinstance(node, ast.FunctionDef):
             for body in _function_bodies(node):
                 for i, stmt in enumerate(body):
                     if not isinstance(stmt, ast.Pass) and not (body is node.body and i == 0 and _is_docstring(stmt)):
-                        yield "stmt", _text(src, stmt), lambda body=body, i=i: body.__setitem__(i, ast.Pass())
+                        yield ("stmt", _text(lines, stmt), lambda body=body, i=i: body.__setitem__(i, ast.Pass()),
+                               _lines(stmt))
 
 
-def mutants() -> list[tuple[str, str, str, int]]:
-    """Every mutant as (module, source text, operator, site index)."""
+def mutants() -> list[tuple[str, str, str, int, range]]:
+    """Every mutant as (module, source text, operator, site index, lines of the mutated node)."""
     out = []
     for module in MODULES:
         src = (PACKAGE / f"{module}.py").read_text()
@@ -183,9 +201,9 @@ def mutants() -> list[tuple[str, str, str, int]]:
         if ast.dump(ast.parse(ast.unparse(tree))) != ast.dump(tree):
             raise SystemExit(f"{module}: ast.unparse does not round-trip, so its mutants would differ elsewhere too")
         seen: dict[tuple[str, str], int] = {}
-        for index, (operator, text, _) in enumerate(_sites(src, tree)):
+        for index, (operator, text, _, lines) in enumerate(_sites(src, tree)):
             seen[text, operator] = count = seen.get((text, operator), 0) + 1
-            out.append((module, text if count == 1 else f"{text} #{count}", operator, index))
+            out.append((module, text if count == 1 else f"{text} #{count}", operator, index, lines))
     return out
 
 
@@ -193,11 +211,26 @@ def mutate(module: str, index: int) -> str:
     """The source of module with its index-th site mutated."""
     src = (PACKAGE / f"{module}.py").read_text()
     tree = ast.parse(src)
-    for i, (_, _, apply) in enumerate(_sites(src, tree)):
+    for i, (_, _, apply, _) in enumerate(_sites(src, tree)):
         if i == index:
             apply()
             return ast.unparse(tree) + "\n"
     raise IndexError(f"{module} has no site {index}")
+
+
+def changed(todo: list, diff: str) -> list:
+    """The mutants of todo whose lines include one that diff, the output of `git diff -U0 --no-prefix`, adds
+    or changes.  A pure deletion touches the lines on both sides of it."""
+    touched: dict[str, set[int]] = {}
+    lines: set[int] = set()
+    for row in diff.splitlines():
+        if row.startswith("+++ "):
+            lines = touched.setdefault(row[4:], set())
+        elif row.startswith("@@ "):
+            first, _, count = row.split()[2][1:].partition(",")
+            first, count = int(first), int(count or 1)
+            lines.update(range(first, first + count) if count else (first, first + 1))
+    return [m for m in todo if not touched.get(f"src/spherectl/{m[0]}.py", set()).isdisjoint(m[4])]
 
 
 def _test_files(module: str) -> list[str]:
@@ -206,80 +239,69 @@ def _test_files(module: str) -> list[str]:
     return [str(p) for p in ([own] if own.exists() else []) + rest]
 
 
-def _pytest(slot: Path, test_files: list[str]) -> tuple[str, float]:
-    """'killed', 'timeout' or 'survived' for the suite run on the package in the worker directory slot."""
-    work = slot / "work"
-    shutil.rmtree(work, ignore_errors=True)
-    work.mkdir()
-    env = dict(os.environ, PYTHONPATH=str(slot / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
-           *test_files]
-    start = time.monotonic()
-    proc = subprocess.Popen(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                            start_new_session=True)
-    try:
-        status = "survived" if proc.wait(timeout=TIMEOUT_S) == 0 else "killed"
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
-        status = "timeout"
-    return status, time.monotonic() - start
-
-
-def _run(slot: Path, module: str, index: int) -> tuple[str, float]:
-    """'killed', 'timeout' or 'survived' for one mutant, run in the worker directory slot."""
-    target = slot / "src" / "spherectl" / f"{module}.py"
-    target.write_text(mutate(module, index))
-    try:
-        return _pytest(slot, _test_files(module))
-    finally:
-        shutil.copyfile(PACKAGE / f"{module}.py", target)
+def _run(test_files: list[str], module: str | None = None, index: int = 0) -> tuple[str, float]:
+    """'killed', 'timeout' or 'survived' for the suite run on its own copy of the package, with the
+    index-th site of module mutated when a module is given."""
+    with tempfile.TemporaryDirectory(prefix="spherectl-mutant-") as tmp:
+        package = Path(tmp) / "src" / "spherectl"
+        shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+        if module is not None:
+            (package / f"{module}.py").write_text(mutate(module, index))
+        work = Path(tmp) / "work"
+        work.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+               *test_files]
+        start = time.monotonic()
+        proc = subprocess.Popen(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                start_new_session=True)
+        try:
+            status = "survived" if proc.wait(timeout=TIMEOUT_S) == 0 else "killed"
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            status = "timeout"
+        return status, time.monotonic() - start
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sample", type=int, help=f"run this many mutants, drawn with seed {SAMPLE_SEED}")
+    parser.add_argument("--since", metavar="REV", help="run only the mutants on the lines changed since REV")
     args = parser.parse_args(argv)
 
     todo = mutants()
     for key in sorted(set(KNOWN) - {m[:3] for m in todo}):
         print(f"STALE    {key[0]}  {key[2]}  {key[1]}: listed in KNOWN but no longer a mutant")
+    if args.since is not None:
+        git = subprocess.run(["git", "diff", "-U0", "--no-prefix", args.since, "--", "src/spherectl/"], cwd=ROOT,
+                             capture_output=True, text=True)
+        if git.returncode:
+            parser.error(f"--since {args.since}: {git.stderr.strip()}")
+        todo = changed(todo, git.stdout)
     if args.sample is not None:
         picked = random.Random(SAMPLE_SEED).sample(range(len(todo)), min(args.sample, len(todo)))
         todo = [todo[i] for i in sorted(picked)]
 
-    with tempfile.TemporaryDirectory(prefix="spherectl-mutants-") as tmp:
-        slots: queue.Queue[Path] = queue.Queue()
-        for w in range(WORKERS):
-            slot = Path(tmp) / f"w{w}"
-            shutil.copytree(PACKAGE, slot / "src" / "spherectl", ignore=shutil.ignore_patterns("__pycache__"))
-            slots.put(slot)
+    status, seconds = _run([str(p) for p in sorted(TESTS.glob("test_*.py"))])
+    outcome = {"survived": "passed", "killed": "failed", "timeout": "timed out"}[status]
+    print(f"control: the unmutated suite {outcome} in {seconds:.1f} s (limit {CONTROL_LIMIT_S:.0f} s)", flush=True)
+    if status != "survived" or seconds > CONTROL_LIMIT_S:
+        print("control failed: a mutant's run would not show whether a test kills it", file=sys.stderr)
+        return 2
 
-        status, seconds = _pytest(Path(tmp) / "w0", [str(p) for p in sorted(TESTS.glob("test_*.py"))])
-        outcome = {"survived": "passed", "killed": "failed", "timeout": "timed out"}[status]
-        print(f"control: the unmutated suite {outcome} in {seconds:.1f} s (limit {CONTROL_LIMIT_S:.0f} s)",
-              flush=True)
-        if status != "survived" or seconds > CONTROL_LIMIT_S:
-            print("control failed: a mutant's run would not show whether a test kills it", file=sys.stderr)
-            return 2
-
-        def one(m: tuple[str, str, str, int]) -> tuple[str, float]:
-            slot = slots.get()
-            try:
-                return _run(slot, m[0], m[3])
-            finally:
-                slots.put(slot)
-
-        counts = {"killed": 0, "timeout": 0, "known": 0, "live": 0}
-        start = time.monotonic()
-        with ThreadPoolExecutor(WORKERS) as pool:
-            for (module, text, operator, _), (status, seconds) in zip(todo, pool.map(one, todo)):
-                if status == "survived":
-                    status = "known" if (module, text, operator) in KNOWN else "live"
-                counts[status] += 1
-                if status != "killed" or (module, text, operator) in KNOWN:
-                    print(f"{status.upper():8} {module}  {operator}  {text}  ({seconds:.0f} s)", flush=True)
-    print(f"{len(todo)} mutants in {time.monotonic() - start:.0f} s: {counts['killed']} killed, "
+    counts = {"killed": 0, "timeout": 0, "known": 0, "live": 0}
+    start = time.monotonic()
+    with ThreadPoolExecutor(WORKERS) as pool:
+        runs = pool.map(lambda m: _run(_test_files(m[0]), m[0], m[3]), todo)
+        for (module, text, operator, _, _), (status, seconds) in zip(todo, runs):
+            if status == "survived":
+                status = "known" if (module, text, operator) in KNOWN else "live"
+            counts[status] += 1
+            if status != "killed" or (module, text, operator) in KNOWN:
+                print(f"{status.upper():8} {module}  {operator}  {text}  ({seconds:.0f} s)", flush=True)
+    what = "mutants" if args.since is None else f"changed sites since {args.since}"
+    print(f"{len(todo)} {what} in {time.monotonic() - start:.0f} s: {counts['killed']} killed, "
           f"{counts['timeout']} killed by the {TIMEOUT_S} s timeout, {counts['known']} known survivors, "
           f"{counts['live']} live survivors")
     return 1 if counts["live"] else 0

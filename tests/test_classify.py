@@ -228,6 +228,39 @@ class TestDecidersMatchReference:
         assert len(built) == 1
 
 
+# the Euler coefficients of the decider lattice, both signs of most
+LATTICE_EULERS = (1, -1, 2, -2, 3, 5, -5, 7)
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Two bundles with n in LATTICE_EULERS and |k| <= 60, the second of the same |n| at least half the time."""
+    n1 = draw(st.sampled_from(LATTICE_EULERS))
+    n2 = draw(st.one_of(st.sampled_from([n for n in LATTICE_EULERS if abs(n) == abs(n1)]),
+                        st.sampled_from(LATTICE_EULERS)))
+    k1, k2 = (draw(st.integers(min_value=-60, max_value=60).filter(lambda k, n=n: (k - n) % 2 == 0))
+              for n in (n1, n2))
+    return make_bundle(n1, k1), make_bundle(n2, k2)
+
+
+class TestDeciderLattice:
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_pairs())
+    @example((make_bundle(1, 3), make_bundle(1, 21)))  # oriented No, unoriented Yes
+    @example((make_bundle(2, 2), make_bundle(-2, 226)))  # oriented Unknown, unoriented Yes
+    @example((make_bundle(5, 1), make_bundle(-5, 11)))  # homeomorphic Yes, diffeomorphic Unknown
+    @example((make_bundle(2, 2), make_bundle(2, 4)))  # all three Unknown
+    @example((make_bundle(1, 1), make_bundle(-2, 2)))  # all three No
+    def test_yes_implies_weaker_yes_and_no_implies_stronger_no(self, pair):
+        h, u, o = (decide(*pair).answer for decide in (homeomorphic, unoriented_diffeomorphic, oriented_diffeomorphic))
+        # oriented Yes => unoriented Yes => homeomorphic Yes
+        assert o != YES or u == YES
+        assert u != YES or h == YES
+        # homeomorphic No => unoriented No => oriented No
+        assert h != NO or u == NO
+        assert u != NO or o == NO
+
+
 class TestGzFamily:
     def test_unit_euler_family(self):
         members = gz_family(make_bundle(1, 3), 3)
@@ -493,3 +526,32 @@ class TestCensusClosedForm:
             _, rows = classify._census_rows(1, k_from, k_to, unoriented)
             classes = census(1, k_from, k_to, unoriented).classes
             assert [(fs[0], count) for fs, count, _ in rows] == [(c.representative, c.members_count) for c in classes]
+
+
+class TestCensusMatchesDeciders:
+    """The census classes are the Yes pairs of the matching decider, whatever rules it holds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from(EULERS),
+        k_from=st.integers(min_value=-2000, max_value=2000),
+        length=st.integers(min_value=1, max_value=400),
+        unoriented=st.booleans(),
+    )
+    @example(n=1, k_from=-200, length=400, unoriented=False)
+    @example(n=1, k_from=-200, length=400, unoriented=True)
+    @example(n=2, k_from=-100, length=400, unoriented=False)
+    @example(n=3, k_from=-7, length=400, unoriented=True)
+    def test_same_class_exactly_when_decided_yes(self, n, k_from, length, unoriented):
+        decide = unoriented_diffeomorphic if unoriented else oriented_diffeomorphic
+        report = census(n, k_from, k_from + length - 1, unoriented)
+        class_of = {k: i for i, c in enumerate(report.classes) for k in c.members}
+        valid = [k for k in range(k_from, k_from + length) if (k - n) % 2 == 0]
+        assert sorted(class_of) == valid
+        unknown = 0
+        for i, k1 in enumerate(valid):
+            for k2 in valid[i + 1:]:
+                answer = decide(BundleClass(n, k1), BundleClass(n, k2)).answer
+                assert (class_of[k1] == class_of[k2]) == (answer == YES), (k1, k2, answer)
+                unknown += answer == UNKNOWN
+        assert report.unknown_pairs_count == unknown

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import subprocess
@@ -946,6 +947,38 @@ class TestListRenderers:
         report = census(n, k_from, k_to)
         assert built == {"CensusClass": len(report.classes), "BundleClass": 0}
         assert len(report.classes) == (16 if n == 1 else 168)
+
+    @pytest.mark.parametrize("unoriented", [False, True])
+    @pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_cli_census_events_do_not_grow_with_window(self, n, fmt, unoriented):
+        # a census costs O(classes): a window of 10^9 periods of 112n runs exactly the Python
+        # code that one of 2 periods runs, counted as sys.settrace events in every module
+        def events_run(periods: int) -> int:
+            argv = ["census", "--n", str(n), "--from", "1", "--to", str(periods * 112 * n), "--format", fmt]
+            argv += ["--unoriented"] if unoriented else []
+            capture_main(argv)  # warm the per-process caches
+            count = 0
+
+            def trace(frame, event, arg):
+                nonlocal count
+                count += 1
+                return trace
+
+            # with the collector off, since a collection runs gc.callbacks (hypothesis keeps one)
+            # at points that differ from run to run
+            outer = sys.gettrace()
+            gc.disable()
+            sys.settrace(trace)
+            try:
+                code, out = capture_main(argv)
+            finally:
+                sys.settrace(outer)
+                gc.enable()
+            assert code == 0 and out
+            return count
+
+        assert events_run(2) == events_run(10**9)
 
     @settings(max_examples=100, deadline=None)
     @given(family_inputs(), st.sampled_from(("json", "pretty", "tsv")))

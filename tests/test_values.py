@@ -288,36 +288,6 @@ def test_bundle_class_value_property(n, k):
         b.pont = k + 2
 
 
-def test_import_loads_no_code_generation_modules():
-    """A cold `import spherectl.cli` must not load dataclasses or the modules
-    it drags in; pytest itself loads them, so this runs in a fresh interpreter."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spherectl.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = (
-        "import sys, spherectl.cli; "
-        "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules))))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
-
-
-def test_well_formed_query_loads_no_argparse():
-    """main builds the argparse parser only for --help and argv that its option table does
-    not recognize, so a canonical census in a fresh interpreter loads neither argparse nor gettext."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spherectl.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = (
-        "import contextlib, io, sys; from spherectl.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['census', '--n', '1', '--from', '1', '--to', '300']) == 0\n"
-        "print(' '.join(sorted({'argparse', 'gettext'} & set(sys.modules))))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
-
-
 def fresh_interpreter(code: str, *argv: str) -> str:
     """The stdout of code run with argv in a fresh interpreter that imports spherectl from this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(spherectl.__file__)))
@@ -325,6 +295,28 @@ def fresh_interpreter(code: str, *argv: str) -> str:
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_import_loads_no_code_generation_modules():
+    """A cold `import spherectl.cli` must not load dataclasses or the modules
+    it drags in; pytest itself loads them, so this runs in a fresh interpreter."""
+    code = (
+        "import sys, spherectl.cli; "
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules))))"
+    )
+    assert fresh_interpreter(code).strip() == ""
+
+
+def test_well_formed_query_loads_no_argparse():
+    """main builds the argparse parser only for --help and argv that its option table does
+    not recognize, so a canonical census in a fresh interpreter loads neither argparse nor gettext."""
+    code = (
+        "import contextlib, io, sys; from spherectl.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['census', '--n', '1', '--from', '1', '--to', '300']) == 0\n"
+        "print(' '.join(sorted({'argparse', 'gettext'} & set(sys.modules))))"
+    )
+    assert fresh_interpreter(code).strip() == ""
 
 
 # a cold query of each command and the library modules it loads (README "Cold start")
