@@ -14,6 +14,12 @@ unconditionally by additivity.  Both dimension-8 index forms vanishing forces
 certifies that the two metric classes lie in distinct path components.  The
 certificate records exactly this contradiction.  No geometry is ever
 computed: metrics enter only as the opaque labels GZ(k).
+
+Not checked yet: the argument compares two metrics on one manifold, so it
+needs M_k0 and M_k1 diffeomorphic (in either orientation), and nothing here
+checks that.  `certify --n 1 --k0 1 --k1 3` is the standing counterexample: it
+prints DistinctComponents, though mu(1) = 0 and mu(3) = 1/28 tell the two
+manifolds apart.  The fix is ROADMAP item 1, which waits on perfbench/oracle.py.
 """
 
 from __future__ import annotations
@@ -196,6 +202,11 @@ def separation_certificate(
     same-component hypothesis rather than computed.  The verdict follows from
     comparing the computed p1^2 difference with the value the vanishing index
     forms would force.
+
+    The argument needs M_k0 and M_k1 to be one manifold, and this does not check
+    it yet: (n, k0, k1) = (1, 1, 3), `certify --n 1 --k0 1 --k1 3`, gets
+    DistinctComponents on two different manifolds.  The check is ROADMAP item 1,
+    which waits on perfbench/oracle.py.
     """
     if b0.euler != b1.euler:
         raise ValueError("gluing requires equal Euler coefficients")

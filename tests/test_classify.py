@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import record_calls
 from spherectl import classify
 from spherectl.bundle import BundleClass, make_bundle
 from spherectl.classify import (
@@ -210,14 +211,7 @@ class TestDecidersMatchReference:
 
     def test_deciders_build_no_qmodz(self, monkeypatch):
         # the sphere rules key on the integer mu table of space, not on QmodZ values
-        built = []
-        init = QmodZ.__init__
-
-        def counting_init(self, *args):
-            built.append(args)
-            init(self, *args)
-
-        monkeypatch.setattr(QmodZ, "__init__", counting_init)
+        built = record_calls(monkeypatch, QmodZ)
         spheres = [make_bundle(n, k) for n in (1, -1) for k in (-5, 1, 3, 21, 115, 10**40 + 1)]
         for decide in (homeomorphic, oriented_diffeomorphic, unoriented_diffeomorphic):
             for b1 in spheres:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import gc
 import io
 import json
 import subprocess
@@ -16,19 +15,26 @@ from spherectl.bundle import make_bundle
 from spherectl.classify import census
 from spherectl.cli import main
 from spherectl.moduli import infinite_components_report
+from helpers import record_calls, trace_events
 from test_classify import census_reference
 from test_golden import CORPUS, FORMATS as FORMAT_PINS
 
 
-def run(capsys, *argv: str) -> tuple[int, str, str]:
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def run(*argv: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of main(argv), the code of a SystemExit (--help and argparse's
+    usage errors) read as the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exit:
+            code = exit.code
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestInvariantsCommand:
-    def test_milnor_sphere_dossier(self, capsys):
-        code, out, err = run(capsys, "invariants", "--n", "1", "--k", "3")
+    def test_milnor_sphere_dossier(self):
+        code, out, err = run("invariants", "--n", "1", "--k", "3")
         assert code == 0
         payload = json.loads(out)
         assert payload["mu"] == "1/28"
@@ -36,46 +42,44 @@ class TestInvariantsCommand:
         assert payload["sign_W"] == 1
         assert err == ""
 
-    def test_reverse_orientation(self, capsys):
-        code, out, _ = run(capsys, "invariants", "--n", "1", "--k", "3", "--reverse-orientation")
+    def test_reverse_orientation(self):
+        code, out, _ = run("invariants", "--n", "1", "--k", "3", "--reverse-orientation")
         assert code == 0
         payload = json.loads(out)
         assert payload["mu"] == "27/28"
         assert payload["sign_W"] == -1
 
-    def test_parity_violation_exit_2(self, capsys):
-        code, out, err = run(capsys, "invariants", "--n", "1", "--k", "2")
+    def test_parity_violation_exit_2(self):
+        code, out, err = run("invariants", "--n", "1", "--k", "2")
         assert code == 2
         assert out == ""
         assert "parity violation: k ≡ n (mod 2) required" in err
 
-    def test_trivial_euler_exit_2(self, capsys):
-        code, _, err = run(capsys, "invariants", "--n", "0", "--k", "0")
+    def test_trivial_euler_exit_2(self):
+        code, _, err = run("invariants", "--n", "0", "--k", "0")
         assert code == 2
         assert "Euler class must be non-trivial" in err
 
 
 class TestClassifyCommand:
-    def test_yes_exit_0(self, capsys):
-        code, out, _ = run(capsys, "classify", "--n1", "1", "--k1", "3", "--n2", "1", "--k2", "115")
+    def test_yes_exit_0(self):
+        code, out, _ = run("classify", "--n1", "1", "--k1", "3", "--n2", "1", "--k2", "115")
         assert code == 0
         payload = json.loads(out)
         assert (payload["answer"], payload["reason"]) == ("Yes", "MuInvariantEqual")
 
-    def test_no_exit_1(self, capsys):
-        code, out, _ = run(capsys, "classify", "--n1", "2", "--k1", "2", "--n2", "3", "--k2", "1")
+    def test_no_exit_1(self):
+        code, out, _ = run("classify", "--n1", "2", "--k1", "2", "--n2", "3", "--k2", "1")
         assert code == 1
         assert json.loads(out)["reason"] == "CohomologyObstruction"
 
-    def test_unknown_exit_3(self, capsys):
-        code, out, _ = run(capsys, "classify", "--n1", "5", "--k1", "1", "--n2", "5", "--k2", "3")
+    def test_unknown_exit_3(self):
+        code, out, _ = run("classify", "--n1", "5", "--k1", "1", "--n2", "5", "--k2", "3")
         assert code == 3
         assert json.loads(out)["reason"] == "OutsideKnownCriteria"
 
-    def test_unoriented_flag(self, capsys):
-        code, out, _ = run(
-            capsys, "classify", "--n1", "1", "--k1", "3", "--n2", "1", "--k2", "21", "--unoriented"
-        )
+    def test_unoriented_flag(self):
+        code, out, _ = run("classify", "--n1", "1", "--k1", "3", "--n2", "1", "--k2", "21", "--unoriented")
         assert code == 0
         assert json.loads(out)["answer"] == "Yes"
 
@@ -85,8 +89,8 @@ class TestClassifyCommand:
         (["--n1", "5", "--k1", "1", "--n2", "5", "--k2", "111"], 3, "OutsideKnownCriteria"),
     ])
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
-    def test_exit_code_follows_the_verdict(self, capsys, argv, code, reason, fmt):
-        got, out, _ = run(capsys, "classify", *argv, "--format", fmt)
+    def test_exit_code_follows_the_verdict(self, argv, code, reason, fmt):
+        got, out, _ = run("classify", *argv, "--format", fmt)
         assert got == code
         assert reason in out
 
@@ -105,7 +109,7 @@ class TestExitCodes:
         answers = {answer for answer, _ in classify._VERDICTS}
         assert set(cli.EXIT_CODES) == answers | {moduli.DISTINCT_COMPONENTS, moduli.INCONCLUSIVE}
 
-    def test_components_exit_code_comes_from_the_table(self, capsys, monkeypatch):
+    def test_components_exit_code_comes_from_the_table(self, monkeypatch):
         codes = {verdict: 10 + i for i, verdict in enumerate(cli.EXIT_CODES)}
         monkeypatch.setattr(cli, "EXIT_CODES", codes)
         for argv, verdict in [
@@ -113,12 +117,12 @@ class TestExitCodes:
             (("--n", "1", "--l", "3", "--pairs", "0"), moduli.INCONCLUSIVE),
             (("--n", "2", "--l", "-112", "--pairs", "2"), moduli.INCONCLUSIVE),
         ]:
-            assert run(capsys, "components", *argv)[0] == codes[verdict]
+            assert run("components", *argv)[0] == codes[verdict]
 
 
 class TestCertifyCommand:
-    def test_distinct_components(self, capsys):
-        code, out, _ = run(capsys, "certify", "--n", "1", "--k0", "1", "--k1", "113")
+    def test_distinct_components(self):
+        code, out, _ = run("certify", "--n", "1", "--k0", "1", "--k1", "113")
         assert code == 0
         payload = json.loads(out)
         assert payload["verdict"] == "DistinctComponents"
@@ -126,29 +130,27 @@ class TestCertifyCommand:
         assert payload["ahat"] == "forced-zero"
         assert payload["curvature_classes"] == ["sec>=0", "Ric>0", "scal>0"]
 
-    def test_no_scal_flag(self, capsys):
-        code, out, _ = run(capsys, "certify", "--n", "1", "--k0", "1", "--k1", "113", "--no-scal")
+    def test_no_scal_flag(self):
+        code, out, _ = run("certify", "--n", "1", "--k0", "1", "--k1", "113", "--no-scal")
         assert code == 0
         assert json.loads(out)["curvature_classes"] == ["sec>=0", "Ric>0"]
 
-    def test_quote_provenance(self, capsys):
-        code, out, _ = run(
-            capsys, "certify", "--n", "1", "--k0", "1", "--k1", "113", "--quote-provenance"
-        )
+    def test_quote_provenance(self):
+        code, out, _ = run("certify", "--n", "1", "--k0", "1", "--k1", "113", "--quote-provenance")
         assert code == 0
         steps = json.loads(out)["provenance"]
         assert len(steps) == 7
         assert any("Lichnerowicz" in s for s in steps)
 
-    def test_identical_pair_inconclusive_exit_3(self, capsys):
-        code, out, _ = run(capsys, "certify", "--n", "1", "--k0", "3", "--k1", "3")
+    def test_identical_pair_inconclusive_exit_3(self):
+        code, out, _ = run("certify", "--n", "1", "--k0", "3", "--k1", "3")
         assert code == 3
         assert json.loads(out)["verdict"] == "Inconclusive"
 
 
 class TestComponentsCommand:
-    def test_banner_on_full_success(self, capsys):
-        code, out, _ = run(capsys, "components", "--n", "1", "--l", "3", "--pairs", "3")
+    def test_banner_on_full_success(self):
+        code, out, _ = run("components", "--n", "1", "--l", "3", "--pairs", "3")
         assert code == 0
         payload = json.loads(out)
         assert payload["banner"] == "infinitely many path components certified"
@@ -156,8 +158,8 @@ class TestComponentsCommand:
         assert len(payload["certificates"]) == 6
         assert payload["curvature_classes"] == ["sec>=0", "Ric>0", "scal>0"]
 
-    def test_zero_pairs_withholds_verdict(self, capsys):
-        code, out, _ = run(capsys, "components", "--n", "1", "--l", "3", "--pairs", "0")
+    def test_zero_pairs_withholds_verdict(self):
+        code, out, _ = run("components", "--n", "1", "--l", "3", "--pairs", "0")
         assert code == 3
         payload = json.loads(out)
         assert payload["banner"] is None
@@ -165,21 +167,21 @@ class TestComponentsCommand:
 
 
 class TestCensusCommand:
-    def test_sixteen_classes(self, capsys):
-        code, out, _ = run(capsys, "census", "--n", "1", "--from", "1", "--to", "223")
+    def test_sixteen_classes(self):
+        code, out, _ = run("census", "--n", "1", "--from", "1", "--to", "223")
         assert code == 0
         payload = json.loads(out)
         assert len(payload["classes"]) == 16
         assert payload["skipped"] == 111
         assert payload["unknown_pairs_count"] == 0
 
-    def test_unoriented_eleven_classes(self, capsys):
-        code, out, _ = run(capsys, "census", "--n", "1", "--from", "1", "--to", "223", "--unoriented")
+    def test_unoriented_eleven_classes(self):
+        code, out, _ = run("census", "--n", "1", "--from", "1", "--to", "223", "--unoriented")
         assert code == 0
         assert len(json.loads(out)["classes"]) == 11
 
-    def test_tsv_format(self, capsys):
-        code, out, _ = run(capsys, "census", "--n", "1", "--from", "1", "--to", "223", "--format", "tsv")
+    def test_tsv_format(self):
+        code, out, _ = run("census", "--n", "1", "--from", "1", "--to", "223", "--format", "tsv")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "representative\tmembers_count\tmu"
@@ -187,8 +189,8 @@ class TestCensusCommand:
 
 
 class TestRealizedMuCommand:
-    def test_sixteen_values(self, capsys):
-        code, out, _ = run(capsys, "realized-mu")
+    def test_sixteen_values(self):
+        code, out, _ = run("realized-mu")
         assert code == 0
         payload = json.loads(out)
         assert payload["count"] == 16
@@ -197,8 +199,8 @@ class TestRealizedMuCommand:
             "1/2", "15/28", "17/28", "5/7", "3/4", "11/14", "6/7", "27/28",
         ]
 
-    def test_unoriented_eleven_values(self, capsys):
-        code, out, _ = run(capsys, "realized-mu", "--unoriented")
+    def test_unoriented_eleven_values(self):
+        code, out, _ = run("realized-mu", "--unoriented")
         payload = json.loads(out)
         assert payload["count"] == 11
         assert payload["values"] == [
@@ -208,32 +210,32 @@ class TestRealizedMuCommand:
 
 
 class TestFamilyCommand:
-    def test_json_members(self, capsys):
-        code, out, _ = run(capsys, "family", "--n", "3", "--l", "1", "--count", "2")
+    def test_json_members(self):
+        code, out, _ = run("family", "--n", "3", "--l", "1", "--count", "2")
         assert code == 0
         payload = json.loads(out)
         assert payload["step"] == 336
         assert [m["k"] for m in payload["members"]] == [1, 337]
 
-    def test_tsv_format(self, capsys):
-        code, out, _ = run(capsys, "family", "--n", "1", "--l", "3", "--count", "3", "--format", "tsv")
+    def test_tsv_format(self):
+        code, out, _ = run("family", "--n", "1", "--l", "3", "--count", "3", "--format", "tsv")
         lines = out.strip().splitlines()
         assert lines == ["euler\tk", "1\t3", "1\t115", "1\t227"]
 
 
 class TestOutputContract:
-    def test_byte_identical_reruns(self, capsys):
-        _, first, _ = run(capsys, "census", "--n", "3", "--from", "1", "--to", "337")
-        _, second, _ = run(capsys, "census", "--n", "3", "--from", "1", "--to", "337")
+    def test_byte_identical_reruns(self):
+        _, first, _ = run("census", "--n", "3", "--from", "1", "--to", "337")
+        _, second, _ = run("census", "--n", "3", "--from", "1", "--to", "337")
         assert first == second
 
-    def test_json_keys_sorted(self, capsys):
-        _, out, _ = run(capsys, "certify", "--n", "1", "--k0", "1", "--k1", "113")
+    def test_json_keys_sorted(self):
+        _, out, _ = run("certify", "--n", "1", "--k0", "1", "--k1", "113")
         payload = json.loads(out)
         assert list(payload.keys()) == sorted(payload.keys())
 
-    def test_no_floats_anywhere(self, capsys):
-        _, out, _ = run(capsys, "invariants", "--n", "2", "--k", "4")
+    def test_no_floats_anywhere(self):
+        _, out, _ = run("invariants", "--n", "2", "--k", "4")
 
         def no_floats(node):
             if isinstance(node, float):
@@ -255,7 +257,7 @@ class TestOutputContract:
         ["realized-mu"],
         ["family", "--n", "1", "--l", "3", "--count", "3"],
     ], ids=lambda argv: argv[0])
-    def test_every_json_report_prints_through_one_writer(self, capsys, monkeypatch, argv):
+    def test_every_json_report_prints_through_one_writer(self, monkeypatch, argv):
         # in every format the command accepts, one _emit call writes all of stdout
         emit, written = cli._emit, []
 
@@ -268,21 +270,21 @@ class TestOutputContract:
         monkeypatch.setattr(cli, "_emit", recording_emit)
         for fmt in ("json", "pretty", "tsv") if argv[0] in ("census", "family") else ("json", "pretty"):
             written.clear()
-            code, out, err = run(capsys, *argv, "--format", fmt)
+            code, out, err = run(*argv, "--format", fmt)
             assert (code, err) == (0, "")
             assert written == [out] and out.endswith("\n")
             if fmt == "json":
                 json.loads(out)
 
-    def test_env_var_overrides_format(self, capsys, monkeypatch):
+    def test_env_var_overrides_format(self, monkeypatch):
         monkeypatch.setenv("SPHERECTL_FORMAT", "pretty")
-        code, out, _ = run(capsys, "realized-mu")
+        code, out, _ = run("realized-mu")
         assert code == 0
         assert out.splitlines()[0] == "0/1"
 
-    def test_explicit_format_beats_env_var(self, capsys, monkeypatch):
+    def test_explicit_format_beats_env_var(self, monkeypatch):
         monkeypatch.setenv("SPHERECTL_FORMAT", "pretty")
-        _, out, _ = run(capsys, "realized-mu", "--format", "json")
+        _, out, _ = run("realized-mu", "--format", "json")
         json.loads(out)
 
     NON_TSV_COMMANDS = [
@@ -293,23 +295,23 @@ class TestOutputContract:
         ["realized-mu"],
     ]
 
-    def test_tsv_rejected_outside_census_and_family(self, capsys, monkeypatch):
+    def test_tsv_rejected_outside_census_and_family(self, monkeypatch):
         for argv in self.NON_TSV_COMMANDS:
             monkeypatch.delenv("SPHERECTL_FORMAT", raising=False)
-            code, out, err = run(capsys, *argv, "--format", "tsv")
+            code, out, err = run(*argv, "--format", "tsv")
             assert (code, out) == (2, ""), argv
             assert "census and family" in err
             monkeypatch.setenv("SPHERECTL_FORMAT", "tsv")
-            code, out, err = run(capsys, *argv)
+            code, out, err = run(*argv)
             assert (code, out) == (2, ""), argv
             assert "census and family" in err
 
-    def test_tsv_from_env_var_accepted_by_census_and_family(self, capsys, monkeypatch):
+    def test_tsv_from_env_var_accepted_by_census_and_family(self, monkeypatch):
         monkeypatch.setenv("SPHERECTL_FORMAT", "tsv")
-        code, out, err = run(capsys, "census", "--n", "2", "--from", "1", "--to", "9")
+        code, out, err = run("census", "--n", "2", "--from", "1", "--to", "9")
         assert (code, err) == (0, "")
         assert out.splitlines()[:2] == ["representative\tmembers_count\tmu", "2\t1\t-"]
-        code, out, err = run(capsys, "family", "--n", "3", "--l", "1", "--count", "2")
+        code, out, err = run("family", "--n", "3", "--l", "1", "--count", "2")
         assert (code, err) == (0, "")
         assert out == "euler\tk\n3\t1\n3\t337\n"
 
@@ -323,8 +325,8 @@ class TestOutputContract:
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["reason"] == "MuInvariantDiffer"
 
-    def test_negative_parameters_parse(self, capsys):
-        code, out, _ = run(capsys, "invariants", "--n", "1", "--k", "-5")
+    def test_negative_parameters_parse(self):
+        code, out, _ = run("invariants", "--n", "1", "--k", "-5")
         assert code == 0
         assert json.loads(out)["mu"] == "3/28"
 
@@ -333,11 +335,11 @@ class TestParserReuse:
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
 
-    def test_flags_do_not_leak_between_calls(self, capsys):
-        code, out, _ = run(capsys, "census", "--n", "1", "--from", "1", "--to", "223", "--unoriented")
+    def test_flags_do_not_leak_between_calls(self):
+        code, out, _ = run("census", "--n", "1", "--from", "1", "--to", "223", "--unoriented")
         assert code == 0
         assert json.loads(out)["unoriented"] is True
-        code, out, _ = run(capsys, "census", "--n", "1", "--from", "1", "--to", "223")
+        code, out, _ = run("census", "--n", "1", "--from", "1", "--to", "223")
         assert code == 0
         payload = json.loads(out)
         assert payload["unoriented"] is False
@@ -471,9 +473,9 @@ class TestParserCost:
     @pytest.mark.parametrize("argv", CANONICAL_ARGV, ids=lambda argv: argv[0])
     def test_canonical_query_builds_no_parser(self, argv):
         with mock.patch.object(cli, "_build_parser", side_effect=AssertionError("parser built")):
-            fast = capture_main(argv)
+            fast = run(*argv)
         with mock.patch.object(cli, "_recognize", return_value=None):
-            slow = capture_main(argv)
+            slow = run(*argv)
         assert fast == slow
         assert fast[0] in (0, 1, 3) and fast[1]
 
@@ -488,18 +490,18 @@ class TestParserCost:
     def test_declined_argv_builds_the_parser(self):
         with mock.patch.object(cli, "_build_parser", side_effect=AssertionError("parser built")):
             with pytest.raises(AssertionError, match="parser built"):
-                capture_main(["census", "--n", "1", "--fro", "1", "--to", "3"])
+                run("census", "--n", "1", "--fro", "1", "--to", "3")
 
 
 class TestCensusWindow:
-    def test_reversed_window_exit_2(self, capsys):
-        code, out, err = run(capsys, "census", "--n", "1", "--from", "10", "--to", "1")
+    def test_reversed_window_exit_2(self):
+        code, out, err = run("census", "--n", "1", "--from", "10", "--to", "1")
         assert code == 2
         assert out == ""
         assert "k_from <= k_to" in err
 
-    def test_single_point_window(self, capsys):
-        code, out, _ = run(capsys, "census", "--n", "1", "--from", "2", "--to", "2")
+    def test_single_point_window(self):
+        code, out, _ = run("census", "--n", "1", "--from", "2", "--to", "2")
         assert code == 0
         payload = json.loads(out)
         assert payload["skipped"] == 1
@@ -515,14 +517,14 @@ POSITIVE_NOTE = (
 
 
 class TestComponentsNote:
-    def test_positive_l_keeps_the_positive_parameter_note(self, capsys):
-        code, out, _ = run(capsys, "components", "--n", "1", "--l", "3", "--pairs", "3")
+    def test_positive_l_keeps_the_positive_parameter_note(self):
+        code, out, _ = run("components", "--n", "1", "--l", "3", "--pairs", "3")
         assert code == 0
         assert json.loads(out)["note"] == POSITIVE_NOTE
 
-    def test_negative_l_not_divisible_by_56n(self, capsys):
+    def test_negative_l_not_divisible_by_56n(self):
         # -110 is not a multiple of 56*2, so no two members have opposite k
-        code, out, _ = run(capsys, "components", "--n", "2", "--l", "-110", "--pairs", "3")
+        code, out, _ = run("components", "--n", "2", "--l", "-110", "--pairs", "3")
         assert code == 0
         payload = json.loads(out)
         assert payload["certified"] is True
@@ -532,9 +534,9 @@ class TestComponentsNote:
         assert "every pair of members separates" in note
         assert "unbounded" in note
 
-    def test_opposite_members_fail_and_note_says_so(self, capsys):
+    def test_opposite_members_fail_and_note_says_so(self):
         # k = -112 and k = 112 are members 0 and 1: i + j = 1 = -l/(56n)
-        code, out, _ = run(capsys, "components", "--n", "2", "--l", "-112", "--pairs", "2")
+        code, out, _ = run("components", "--n", "2", "--l", "-112", "--pairs", "2")
         assert code == 3
         payload = json.loads(out)
         assert payload["certified"] is False
@@ -548,8 +550,8 @@ class TestComponentsNote:
         assert "finitely many pairs fail to separate" in note
         assert "unbounded" in note
 
-    def test_zero_l_has_no_opposite_pair(self, capsys):
-        code, out, _ = run(capsys, "components", "--n", "2", "--l", "0", "--pairs", "2")
+    def test_zero_l_has_no_opposite_pair(self):
+        code, out, _ = run("components", "--n", "2", "--l", "0", "--pairs", "2")
         assert code == 0
         assert "positive parameters" not in json.loads(out)["note"]
 
@@ -584,47 +586,39 @@ class TestHugeParameters:
         with int_str_digits(0):
             return json.loads(out)
 
-    def test_invariants(self, capsys):
-        code, out, err = run(capsys, "invariants", "--n", "1", "--k", self.K_STR)
+    def test_invariants(self):
+        code, out, err = run("invariants", "--n", "1", "--k", self.K_STR)
         assert (code, err) == (0, "")
         payload = self.loads(out)
         assert payload["k"] == self.K
         with int_str_digits(0):
             assert payload["p1sq_W"] == f"{4 * self.K * self.K}/1"
 
-    def test_certify(self, capsys):
+    def test_certify(self):
         k1 = self.K + 112
         k1_str = self.K_STR[:-3] + "119"
-        code, out, err = run(capsys, "certify", "--n", "1", "--k0", self.K_STR, "--k1", k1_str)
+        code, out, err = run("certify", "--n", "1", "--k0", self.K_STR, "--k1", k1_str)
         assert (code, err) == (0, "")
         payload = self.loads(out)
         assert payload["verdict"] == "DistinctComponents"
         with int_str_digits(0):
             assert payload["p1sq_X"] == f"{4 * (self.K * self.K - k1 * k1)}/1"
 
-    def test_components(self, capsys):
-        code, out, err = run(capsys, "components", "--n", "1", "--l", self.K_STR, "--pairs", "2")
+    def test_components(self):
+        code, out, err = run("components", "--n", "1", "--l", self.K_STR, "--pairs", "2")
         assert (code, err) == (0, "")
         payload = self.loads(out)
         assert payload["family"] == [self.K, self.K + 112, self.K + 224]
         assert [c["verdict"] for c in payload["certificates"]] == ["DistinctComponents"] * 3
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str digit limit")
-    def test_limit_restored_after_main(self, capsys):
-        run(capsys, "components", "--n", "1", "--l", self.K_STR, "--pairs", "1")
+    def test_limit_restored_after_main(self):
+        run("components", "--n", "1", "--l", self.K_STR, "--pairs", "1")
         assert sys.get_int_max_str_digits() == 4300
-        run(capsys, "invariants", "--n", "1", "--k", "2")  # exit 2
+        run("invariants", "--n", "1", "--k", "2")  # exit 2
         assert sys.get_int_max_str_digits() == 4300
-        with pytest.raises(SystemExit):
-            main(["invariants", "--n", "1"])  # argparse error
+        assert run("invariants", "--n", "1")[0] == 2  # argparse error
         assert sys.get_int_max_str_digits() == 4300
-
-
-def capture_main(argv: list[str]) -> tuple[int, str]:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    return code, buf.getvalue()
 
 
 def assert_same_text(got: str, want: str) -> None:
@@ -688,7 +682,7 @@ class TestComponentsRenderer:
         argv = ["components", "--n", str(n), "--l", str(l), "--pairs", str(pairs)]
         argv += ["--quote-provenance"] if quote else []
         argv += [] if scal else ["--no-scal"]
-        code, out = capture_main(argv)
+        code, out, _ = run(*argv)
         report = infinite_components_report(make_bundle(n, l), pairs, include_scal=scal)
         assert_same_text(out, json.dumps(report.to_dict(quote), indent=2, sort_keys=True) + "\n")
         assert code == (0 if report.certified else 3)
@@ -722,8 +716,8 @@ class TestComponentsRenderer:
             "  k0=112 k1=336: DistinctComponents (p1sq_X = -200704/1)",
         ], None),
     ])
-    def test_pretty_output_unchanged(self, capsys, argv, code, lines, note):
-        got_code, out, _ = run(capsys, "components", *argv, "--format", "pretty")
+    def test_pretty_output_unchanged(self, argv, code, lines, note):
+        got_code, out, _ = run("components", *argv, "--format", "pretty")
         assert got_code == code
         *body, last = out.splitlines()
         assert body == lines
@@ -742,7 +736,7 @@ class TestComponentsRenderer:
         argv = ["components", "--n", str(n), "--l", str(l), "--pairs", str(pairs), "--format", "pretty"]
         argv += ["--quote-provenance"] if quote else []
         argv += [] if scal else ["--no-scal"]
-        assert capture_main(argv) == components_pretty_reference(n, l, pairs, quote, scal)
+        assert run(*argv)[:2] == components_pretty_reference(n, l, pairs, quote, scal)
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["components", "--n", "1", "--l", "3", "--pairs", "40", "--format", "json"], id="json"),
@@ -779,15 +773,8 @@ class TestComponentsRenderer:
 
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
     def test_cli_builds_at_most_one_certificate(self, monkeypatch, fmt):
-        built = []
-        init = moduli.SeparationCertificate.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(moduli.SeparationCertificate, "__init__", counting_init)
-        code, out = capture_main(["components", "--n", "1", "--l", "3", "--pairs", "30", "--format", fmt])
+        built = record_calls(monkeypatch, moduli.SeparationCertificate)
+        code, out, _ = run("components", "--n", "1", "--l", "3", "--pairs", "30", "--format", fmt)
         assert code == 0
         assert out.count("DistinctComponents") == 30 * 31 // 2
         assert len(built) <= 1
@@ -801,13 +788,8 @@ class TestComponentsRenderer:
         # components is O(pairs): it builds the base bundle, no BundleClass per member, no more
         # than the one sample certificate of the JSON output (of the base) with its one
         # Rational, and one row per member i < pairs, while it prints 150*151/2 certificates
-        built = {"BundleClass": 0, "SeparationCertificate": 0, "Rational": 0}
-        for cls in (bundle.BundleClass, moduli.SeparationCertificate, exactnum.Rational):
-            def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-                built[_name] += 1
-                _init(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counting_init)
+        built = {cls.__name__: record_calls(monkeypatch, cls)
+                 for cls in (bundle.BundleClass, moduli.SeparationCertificate, exactnum.Rational)}
         yielded = []
         components_rows = moduli._components_rows
 
@@ -816,10 +798,11 @@ class TestComponentsRenderer:
             return report, (yielded.append(row) or row for row in rows)
 
         monkeypatch.setattr(moduli, "_components_rows", counting_rows)
-        code, out = capture_main(["components", "--n", "3", "--l", "1", "--pairs", "150", "--format", fmt])
+        code, out, _ = run("components", "--n", "3", "--l", "1", "--pairs", "150", "--format", fmt)
         assert code == 0
         assert out.count("DistinctComponents") == 150 * 151 // 2
-        assert built == {"BundleClass": 1, "SeparationCertificate": certificates, "Rational": certificates}
+        assert {name: len(calls) for name, calls in built.items()} == {
+            "BundleClass": 1, "SeparationCertificate": certificates, "Rational": certificates}
         assert len(yielded) == 150
 
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
@@ -828,22 +811,8 @@ class TestComponentsRenderer:
         # members, not with the pairs(pairs+1)/2 certificates, so 4 times the pairs costs
         # under 5 times the lines, where code run per certificate would cost about 16 times
         def lines_run(pairs: int) -> int:
-            count = 0
-
-            def trace(frame, event, arg):
-                nonlocal count
-                if frame.f_code.co_filename != cli.__file__:
-                    return None
-                count += event == "line"
-                return trace
-
             argv = ["components", "--n", "2", "--l", "-560", "--pairs", str(pairs), "--format", fmt]
-            outer = sys.gettrace()
-            sys.settrace(trace)
-            try:
-                code, out = capture_main(argv)
-            finally:
-                sys.settrace(outer)
+            (code, out, _), count = trace_events(lambda: run(*argv), cli.__file__, "line")
             # -l/(56n) = 5, so the pairs (0, 5), (1, 4) and (2, 3) have p == 0
             assert code == 3 and out.count("Inconclusive") == 3
             return count
@@ -898,7 +867,7 @@ class TestListRenderers:
     def test_census_json_matches_reference(self, inputs, unoriented, fmt):
         n, k_from, k_to = inputs
         argv = ["census", "--n", str(n), "--from", str(k_from), "--to", str(k_to), "--format", fmt]
-        code, out = capture_main(argv + (["--unoriented"] if unoriented else []))
+        code, out, _ = run(*argv, *["--unoriented"] * unoriented)
         if k_to - k_from < 10**6:
             payload, tsv, _ = census_reference(n, k_from, k_to, unoriented)
         else:  # too long to walk: the library report, which the closed-form tests check
@@ -921,31 +890,23 @@ class TestListRenderers:
     @pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
     @pytest.mark.parametrize("n, k_from, k_to", [(1, -1000, 1000), (3, -1000, 1000)])
     def test_cli_census_builds_no_class_or_bundle(self, monkeypatch, fmt, n, k_from, k_to):
-        built = {"CensusClass": 0, "BundleClass": 0}
-        for cls in (classify.CensusClass, bundle.BundleClass):
-            def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__):
-                built[_name] += 1
-                _init(self, *args)
-
-            monkeypatch.setattr(cls, "__init__", counting_init)
+        classes, bundles = (record_calls(monkeypatch, cls) for cls in (classify.CensusClass, bundle.BundleClass))
         # mu is a shared value of space._mu: a census builds one QmodZ per class whose mu the
         # process has not built yet, and a second census builds none
         space._mu.cache_clear()
-        mus = []
-        qmodz_init = exactnum.QmodZ.__init__
-        monkeypatch.setattr(exactnum.QmodZ, "__init__", lambda self, *args: mus.append(args) or qmodz_init(self, *args))
+        mus = record_calls(monkeypatch, exactnum.QmodZ)
         argv = ["census", "--n", str(n), "--from", str(k_from), "--to", str(k_to), "--format", fmt]
-        code, out = capture_main(argv)
+        code, out, _ = run(*argv)
         assert code == 0 and out
-        assert built == {"CensusClass": 0, "BundleClass": 0}
+        assert classes == bundles == []
         assert len(set(mus)) == len(mus) == (16 if n == 1 else 0)
         mus.clear()
-        assert capture_main(argv) == (code, out)
-        assert built == {"CensusClass": 0, "BundleClass": 0}
+        assert run(*argv)[:2] == (code, out)
+        assert classes == bundles == []
         assert mus == []
         # the library report builds one class object per class, and still no bundle
         report = census(n, k_from, k_to)
-        assert built == {"CensusClass": len(report.classes), "BundleClass": 0}
+        assert (len(classes), bundles) == (len(report.classes), [])
         assert len(report.classes) == (16 if n == 1 else 168)
 
     @pytest.mark.parametrize("unoriented", [False, True])
@@ -957,24 +918,8 @@ class TestListRenderers:
         def events_run(periods: int) -> int:
             argv = ["census", "--n", str(n), "--from", "1", "--to", str(periods * 112 * n), "--format", fmt]
             argv += ["--unoriented"] if unoriented else []
-            capture_main(argv)  # warm the per-process caches
-            count = 0
-
-            def trace(frame, event, arg):
-                nonlocal count
-                count += 1
-                return trace
-
-            # with the collector off, since a collection runs gc.callbacks (hypothesis keeps one)
-            # at points that differ from run to run
-            outer = sys.gettrace()
-            gc.disable()
-            sys.settrace(trace)
-            try:
-                code, out = capture_main(argv)
-            finally:
-                sys.settrace(outer)
-                gc.enable()
+            run(*argv)  # warm the per-process caches
+            (code, out, _), count = trace_events(lambda: run(*argv))
             assert code == 0 and out
             return count
 
@@ -988,7 +933,7 @@ class TestListRenderers:
     @example((5, -3, 7), "tsv")
     def test_family_matches_reference(self, inputs, fmt):
         n, l, count = inputs
-        code, out = capture_main(["family", "--n", str(n), "--l", str(l), "--count", str(count), "--format", fmt])
+        code, out, _ = run("family", "--n", str(n), "--l", str(l), "--count", str(count), "--format", fmt)
         members = classify.gz_family(make_bundle(n, l), count)
         if fmt == "json":
             payload = {"n": n, "l": l, "step": 112 * n, "members": [b.to_dict() for b in members]}
@@ -1016,6 +961,19 @@ class TestClosedPipe:
         assert code == 141  # 128 + SIGPIPE
 
 
+def estimate(refusal: str) -> int:
+    """The output size that a refusal over MAX_OUTPUT_BYTES states."""
+    return int(refusal.split("output of about ")[1].split()[0])
+
+
+def stated(argv: list[str]) -> int:
+    """The output size that main states for argv when every output is over the limit."""
+    with mock.patch.object(cli, "MAX_OUTPUT_BYTES", 0):
+        code, _, err = run(*argv)
+    assert code == 2
+    return estimate(err)
+
+
 class TestWorkLimits:
     """--pairs, --count and the classes of a census are bounded by module constants;
     over the limit is exit 2, checked before any work."""
@@ -1024,19 +982,18 @@ class TestWorkLimits:
         assert cli.MAX_PAIRS == 500
         assert cli.MAX_FAMILY_COUNT == 100_000
 
-    def test_limits_shown_in_help(self, capsys):
+    def test_limits_shown_in_help(self):
         for command, limit in (("components", "500"), ("family", "100000")):
-            with pytest.raises(SystemExit):
-                main([command, "--help"])
-            assert f"at most {limit}" in " ".join(capsys.readouterr().out.split())
+            code, out, _ = run(command, "--help")
+            assert code == 0 and f"at most {limit}" in " ".join(out.split())
 
-    def test_at_limit_accepted(self, capsys):
-        code, out, _ = run(capsys, "family", "--n", "1", "--l", "3", "--count", "100000", "--format", "tsv")
+    def test_at_limit_accepted(self):
+        code, out, _ = run("family", "--n", "1", "--l", "3", "--count", "100000", "--format", "tsv")
         assert code == 0
         assert len(out.splitlines()) == 100_001
 
-    def test_components_over_limit(self, capsys):
-        code, out, err = run(capsys, "components", "--n", "1", "--l", "3", "--pairs", "501")
+    def test_components_over_limit(self):
+        code, out, err = run("components", "--n", "1", "--l", "3", "--pairs", "501")
         assert (code, out) == (2, "")
         assert "--pairs 501 exceeds the limit of 500" in err
 
@@ -1051,26 +1008,23 @@ class TestWorkLimits:
             argv = ["components", "--n", "1", "--l", "3", "--pairs", str(cli.MAX_PAIRS + excess)]
         else:
             argv = ["family", "--n", "3", "--l", "1", "--count", str(cli.MAX_FAMILY_COUNT + excess)]
-        buf, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
-            code = main(argv + ["--format", fmt])
-        assert (code, buf.getvalue()) == (2, "")
+        code, out, err = run(*argv, "--format", fmt)
+        assert (code, out) == (2, "")
         # components has no tsv output, which is rejected first
         expected = "census and family" if (command, fmt) == ("components", "tsv") else "exceeds the limit of"
-        assert expected in err.getvalue()
+        assert expected in err
 
-    def test_census_limit_is_fixed_and_shown_in_help(self, capsys):
+    def test_census_limit_is_fixed_and_shown_in_help(self):
         assert cli.MAX_CENSUS_CLASSES == 100_000
-        with pytest.raises(SystemExit):
-            main(["census", "--help"])
-        assert "at most 100000" in " ".join(capsys.readouterr().out.split())
+        code, out, _ = run("census", "--help")
+        assert code == 0 and "at most 100000" in " ".join(out.split())
 
-    def test_census_at_and_over_limit(self, capsys):
+    def test_census_at_and_over_limit(self):
         # n = 1786 is even and 112n = 200,032 exceeds the window: one class per even k
-        code, out, _ = run(capsys, "census", "--n", "1786", "--from", "1", "--to", "200000", "--format", "tsv")
+        code, out, _ = run("census", "--n", "1786", "--from", "1", "--to", "200000", "--format", "tsv")
         assert code == 0
         assert len(out.splitlines()) == 100_001
-        code, out, err = run(capsys, "census", "--n", "1786", "--from", "0", "--to", "200000")
+        code, out, err = run("census", "--n", "1786", "--from", "0", "--to", "200000")
         assert (code, out) == (2, "")
         assert "census of 100001 classes exceeds the limit of 100000" in err
 
@@ -1087,11 +1041,9 @@ class TestWorkLimits:
     def test_census_over_limit_exits_2_with_empty_stdout(self, n, k_from, length, unoriented, fmt):
         argv = ["census", "--n", str(n), "--from", str(k_from), "--to", str(k_from + length - 1)]
         argv += ["--format", fmt] + (["--unoriented"] if unoriented else [])
-        buf, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert (code, buf.getvalue()) == (2, "")
-        assert f"exceeds the limit of {cli.MAX_CENSUS_CLASSES}" in err.getvalue()
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert f"exceeds the limit of {cli.MAX_CENSUS_CLASSES}" in err
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1105,7 +1057,7 @@ class TestWorkLimits:
         k_to = k_from + length - 1
         argv = ["census", "--n", str(n), "--from", str(k_from), "--to", str(k_to)]
         with mock.patch.object(cli, "MAX_CENSUS_CLASSES", limit):
-            code, out = capture_main(argv)
+            code, out, _ = run(*argv)
         classes = len(census(n, k_from, k_to).classes)
         assert code == (2 if classes > limit else 0)
         assert (out == "") is (classes > limit)
@@ -1115,16 +1067,15 @@ class TestWorkLimits:
         (-5, 1, 10**9, "census requires n > 0"),
         (10**6, 10**9, 1, "k_from <= k_to"),
     ])
-    def test_census_invalid_inputs_keep_their_own_message(self, capsys, n, k_from, k_to, message):
-        code, out, err = run(capsys, "census", "--n", str(n), "--from", str(k_from), "--to", str(k_to))
+    def test_census_invalid_inputs_keep_their_own_message(self, n, k_from, k_to, message):
+        code, out, err = run("census", "--n", str(n), "--from", str(k_from), "--to", str(k_to))
         assert (code, out) == (2, "")
         assert message in err
 
-    def test_output_limit_is_fixed_and_shown_in_help(self, capsys):
+    def test_output_limit_is_fixed_and_shown_in_help(self):
         assert cli.MAX_OUTPUT_BYTES == 256 * 2**20
-        with pytest.raises(SystemExit):
-            main(["--help"])
-        assert f"at most {cli.MAX_OUTPUT_BYTES} bytes" in " ".join(capsys.readouterr().out.split())
+        code, out, _ = run("--help")
+        assert code == 0 and f"at most {cli.MAX_OUTPUT_BYTES} bytes" in " ".join(out.split())
 
     @staticmethod
     def over_budget_argv(command: str, digits: int, sign: int, count: int, n: int) -> list[str]:
@@ -1150,8 +1101,7 @@ class TestWorkLimits:
         # each worker on the module that owns it, where the CLI reads it
         owner = {"components": moduli, "family": bundle, "census": classify}[command]
         monkeypatch.setattr(owner, worker, refuse)
-        code, out = capture_main(self.over_budget_argv(command, 3000, 1, 0, 1800) + ["--format", fmt])
-        assert (code, out) == (2, "")
+        assert run(*self.over_budget_argv(command, 3000, 1, 0, 1800), "--format", fmt)[:2] == (2, "")
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1164,13 +1114,11 @@ class TestWorkLimits:
     )
     def test_over_output_limit_exits_2_with_empty_stdout(self, command, digits, sign, count, n, fmt):
         argv = self.over_budget_argv(command, digits, sign, count, n) + ["--format", fmt]
-        buf, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert (code, buf.getvalue()) == (2, "")
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
         # components has no tsv output, which is rejected first
         expected = "census and family" if (command, fmt) == ("components", "tsv") else "bytes exceeds the limit of"
-        assert expected in err.getvalue()
+        assert expected in err
 
     @pytest.mark.parametrize("argv", [
         # these two print 226,819,487 and 231,541,956 bytes
@@ -1184,11 +1132,7 @@ class TestWorkLimits:
     def test_output_limit_admits_small_parameters_at_the_count_limits(self, argv):
         # only the estimate is taken: with the limit just below it, the call is refused
         # without work, and its message gives the estimate
-        err = io.StringIO()
-        with mock.patch.object(cli, "MAX_OUTPUT_BYTES", 0), contextlib.redirect_stderr(err):
-            assert main(argv) == 2
-        estimate = int(err.getvalue().split("output of about ")[1].split()[0])
-        assert estimate <= cli.MAX_OUTPUT_BYTES
+        assert stated(argv) <= cli.MAX_OUTPUT_BYTES
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -1214,13 +1158,13 @@ class TestWorkLimits:
         else:
             argv = ["census", "--n", str(n), "--from", str(l), "--to", str(l + size)]
         argv += ["--format", fmt]
-        code, out = capture_main(argv)
+        code, out, _ = run(*argv)
         assert code != 2
         actual = len(out.encode())
         with mock.patch.object(cli, "MAX_OUTPUT_BYTES", 2 * actual + 2**16):
-            assert capture_main(argv) == (code, out)
+            assert run(*argv)[:2] == (code, out)
         with mock.patch.object(cli, "MAX_OUTPUT_BYTES", actual - 1):
-            assert capture_main(argv) == (2, "")
+            assert run(*argv)[:2] == (2, "")
 
 
 class TestOutputEstimate:
@@ -1228,15 +1172,9 @@ class TestOutputEstimate:
     sample sizes: at least the bytes written, and at most twice them plus 64 KiB."""
 
     @staticmethod
-    def stated(argv: list[str]) -> int:
-        err = io.StringIO()
-        with mock.patch.object(cli, "MAX_OUTPUT_BYTES", 0), contextlib.redirect_stderr(err):
-            assert main(argv) == 2
-        return int(err.getvalue().split("output of about ")[1].split()[0])
-
-    def assert_bounds(self, argv: list[str]) -> None:
-        written = len(capture_main(argv)[1].encode())
-        assert written <= self.stated(argv) <= 2 * written + 2**16
+    def assert_bounds(argv: list[str]) -> None:
+        written = len(run(*argv)[1].encode())
+        assert written <= stated(argv) <= 2 * written + 2**16
 
     # -6719 + 112*3*20 = 1, so only the larger end bounds k; --pairs -5 prints no pair;
     # 896*585 and 897*585 straddle a digit of the bound; n = 98 prints 67,338,705 bytes;
@@ -1272,28 +1210,28 @@ class TestOutputEstimate:
     def test_an_n1_census_is_sized_by_the_classes_it_prints(self, k_from, k_to, unoriented, fmt):
         argv = ["census", "--n", "1", "--from", str(k_from), "--to", str(k_to), "--format", fmt]
         argv += ["--unoriented"] * unoriented
-        written = len(capture_main(argv)[1].encode())
-        assert written <= self.stated(argv) <= 2 * written
+        written = len(run(*argv)[1].encode())
+        assert written <= stated(argv) <= 2 * written
 
     @pytest.mark.parametrize("name, added, quote", [("GENERAL_N_DERIVATION", " and so on", False),
                                                     ("PROVENANCE_STEPS", ("one more step",), True)])
     def test_a_longer_text_lengthens_the_estimate(self, monkeypatch, name, added, quote):
         # each of the 30*31/2 certificates prints the text, so the estimate grows by its added bytes each
         argv = ["components", "--n", "3", "--l", "1", "--pairs", "30"] + ["--quote-provenance"] * quote
-        before = self.stated(argv)
+        before = stated(argv)
         monkeypatch.setattr(moduli, name, getattr(moduli, name) + added)
         self.assert_bounds(argv)
-        assert self.stated(argv) - before >= len("".join(added)) * 30 * 31 // 2
+        assert stated(argv) - before >= len("".join(added)) * 30 * 31 // 2
 
     def test_a_longer_mu_lengthens_the_census_estimate(self, monkeypatch):
         # one n = 1 class printing a longer mu moves the estimate of every class row
         argv = ["census", "--n", "1", "--from", "1", "--to", "300", "--format", "tsv"]
-        before, mu, rows = self.stated(argv), space._mu, len(capture_main(argv)[1].splitlines()) - 1
+        before, mu, rows = stated(argv), space._mu, len(run(*argv)[1].splitlines()) - 1
         long_x = space._MU_NUM[5]
         monkeypatch.setattr(space, "_mu", lambda x: "9" * 40 if x == long_x else mu(x))
         cli._census_text.cache_clear()
         try:
-            assert self.stated(argv) - before >= (40 - max(len(str(mu(x))) for x in space._MU_NUM)) * rows
+            assert stated(argv) - before >= (40 - max(len(str(mu(x))) for x in space._MU_NUM)) * rows
         finally:
             cli._census_text.cache_clear()
 
@@ -1301,12 +1239,10 @@ class TestOutputEstimate:
         # the estimate sizes the mu of odd k: a fresh process builds no other QmodZ for a census
         cli._census_text.cache_clear()
         space._mu.cache_clear()
-        built = []
-        qmodz_init = exactnum.QmodZ.__init__
-        monkeypatch.setattr(exactnum.QmodZ, "__init__", lambda self, *args: built.append(args) or qmodz_init(self, *args))
+        built = record_calls(monkeypatch, exactnum.QmodZ)
         for unoriented in (False, True):
             argv = ["census", "--n", "1", "--from", "1", "--to", "3"] + ["--unoriented"] * unoriented
-            capture_main(argv)
+            run(*argv)
         assert set(built) == {(space._MU_NUM[k % 112], 224) for k in range(1, 112, 2)} | {
             (space._MU_NUM_FOLDED[k % 112], 224) for k in range(1, 112, 2)}
 
@@ -1331,10 +1267,8 @@ class TestOutputEstimate:
         # before any work, else by the family enumeration
         for l, message in (("1", "family enumeration requires euler > 0"),
                            ("1" + "0" * 2999 + "1", "bytes exceeds the limit of")):
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
-                code = main(["components", "--n", "-1", "--l", l, "--pairs", "500", "--format", fmt])
-            assert (code, out.getvalue()) == (2, "") and message in err.getvalue()
+            code, out, err = run("components", "--n", "-1", "--l", l, "--pairs", "500", "--format", fmt)
+            assert (code, out) == (2, "") and message in err
 
     @pytest.mark.parametrize("x, sharp", [
         (0, True), (1, True), (9, False), (10, True), (2**288 + 1, True), (2**680 + 1, False), (10**50 - 1, False),
@@ -1346,10 +1280,9 @@ class TestOutputEstimate:
         for signed in (-x, x):
             with mock.patch.object(cli, "MAX_OUTPUT_BYTES", 0), pytest.raises(ValueError) as refusal:
                 cli._check_output_size((1, 0, signed))
-            bound = int(str(refusal.value).split("output of about ")[1].split()[0])
-            assert bound == len(str(signed)) + (not sharp)
+            assert estimate(str(refusal.value)) == len(str(signed)) + (not sharp)
 
     def test_an_estimate_equal_to_the_limit_is_admitted(self):
         argv = ["family", "--n", "1", "--l", "1", "--count", "3"]
-        with mock.patch.object(cli, "MAX_OUTPUT_BYTES", self.stated(argv)):
-            assert capture_main(argv)[0] == 0
+        with mock.patch.object(cli, "MAX_OUTPUT_BYTES", stated(argv)):
+            assert run(*argv)[0] == 0
