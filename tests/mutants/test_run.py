@@ -1,4 +1,5 @@
-"""The --since line filter of run.py, fed synthetic `git diff -U0 --no-prefix` output.
+"""The --since line filter of run.py, fed synthetic `git diff -U0 --no-prefix` output, and the
+time limit that _run passes to a suite, on synthetic test files.
 
 This file sits beside run.py, outside the tests/test_*.py glob that a mutant's
 suite is built from, so no mutant run pays for it.
@@ -7,6 +8,7 @@ suite is built from, so no mutant run pays for it.
 from __future__ import annotations
 
 import importlib.util
+import time
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,18 @@ def test_hunks_of_several_modules_add_up():
     picked = run.changed(MUTANTS, text)
     assert picked == [m for m in MUTANTS if m[0] == "bundle" and made in m[4]] + spanning(LINE, LINE + 1)
     assert ("bundle", "return BundleClass(n, k)", "stmt") in {m[:3] for m in picked}
+
+
+def test_a_suite_past_its_limit_is_stopped(tmp_path):
+    test = tmp_path / "test_sleeps.py"
+    test.write_text("import time\n\n\ndef test_sleeps():\n    time.sleep(60)\n")
+    start = time.monotonic()
+    status, seconds = run._run([str(test)], 1)
+    assert status == "timeout"
+    assert 1 <= seconds < time.monotonic() - start < 10
+
+
+def test_a_suite_with_no_limit_runs_to_the_end_on_its_copy(tmp_path):
+    test = tmp_path / "test_passes.py"
+    test.write_text("import spherectl\n\n\ndef test_copy():\n    assert 'spherectl-mutant-' in spherectl.__file__\n")
+    assert run._run([str(test)], None)[0] == "survived"

@@ -21,7 +21,6 @@ from spherectl.classify import (
     theta7_add,
     theta7_neg,
 )
-from spherectl.cli import main
 from spherectl.exactnum import QmodZ, Rational, qmodz_add, qmodz_neg
 from spherectl.moduli import (
     DISTINCT_COMPONENTS,
@@ -35,6 +34,7 @@ from spherectl.space import (
     p1_squared_W,
     realized_mu_set,
 )
+from helpers import run
 
 EXPECTED_ORIENTED = [
     "0/1", "1/28", "3/28", "3/14", "1/4", "2/7", "5/14", "13/28",
@@ -46,35 +46,34 @@ EXPECTED_UNORIENTED = [
 ]
 
 
-def _cli_json(capsys, *argv: str) -> dict:
-    code = main(list(argv))
-    out = capsys.readouterr().out
+def _cli_json(*argv: str) -> dict:
+    code, out, _ = run(*argv)
     assert code == 0
     return json.loads(out)
 
 
-def test_criterion_01_realized_mu_oriented(capsys):
-    payload = _cli_json(capsys, "realized-mu")
+def test_criterion_01_realized_mu_oriented():
+    payload = _cli_json("realized-mu")
     assert payload["values"] == EXPECTED_ORIENTED
     assert payload["count"] == 16
     print("ACCEPTANCE 01 realized-mu reproduces the 16 oriented classes: PASS")
 
 
-def test_criterion_02_realized_mu_unoriented(capsys):
-    payload = _cli_json(capsys, "realized-mu", "--unoriented")
+def test_criterion_02_realized_mu_unoriented():
+    payload = _cli_json("realized-mu", "--unoriented")
     assert payload["values"] == EXPECTED_UNORIENTED
     assert payload["count"] == 11
     print("ACCEPTANCE 02 realized-mu --unoriented reproduces the 11 folded classes: PASS")
 
 
-def test_criterion_03_census_windows(capsys):
+def test_criterion_03_census_windows():
     rng = random.Random(20260808)
     for _ in range(10):
         start = rng.randrange(-10**6, 10**6) * 2 + 1
         end = start + 222  # 112 consecutive odd k
         assert len(census(1, start, end).classes) == 16
         assert len(census(1, start, end, unoriented=True).classes) == 11
-    payload = _cli_json(capsys, "census", "--n", "1", "--from", "1", "--to", "223")
+    payload = _cli_json("census", "--n", "1", "--from", "1", "--to", "223")
     assert len(payload["classes"]) == 16
     print("ACCEPTANCE 03 census: 16 oriented / 11 unoriented classes per 112-window: PASS")
 

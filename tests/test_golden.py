@@ -30,13 +30,11 @@ tests, and neither file is to be regenerated to make them pass.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
 import pathlib
 
-from spherectl import cli
+from helpers import run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CORPUS = GOLDEN / "cli_corpus.jsonl"
@@ -44,14 +42,9 @@ FORMATS = GOLDEN / "cli_formats.jsonl"
 
 
 def replay(entry: dict) -> dict:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(entry["argv"]))
-        except SystemExit as exc:  # argparse: --help and usage errors
-            code = exc.code
+    code, out, err = run(*entry["argv"])
     got = {"exit": code}
-    for name, text in (("stdout", out.getvalue()), ("stderr", err.getvalue())):
+    for name, text in (("stdout", out), ("stderr", err)):
         data = text.encode()
         got[f"{name}_sha256"] = hashlib.sha256(data).hexdigest()
         got[f"{name}_len"] = len(data)

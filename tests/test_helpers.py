@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import gc
+import sys
+
+import pytest
 
 from helpers import trace_events
 
@@ -32,4 +35,16 @@ def test_trace_events_counts_with_the_collector_off():
         gc.callbacks.remove(callback)
     assert during == []
     assert with_callback == alone
+    assert gc.isenabled()
+
+
+def test_trace_events_stops_a_call_once_its_count_passes_the_limit():
+    def spin():
+        for _ in range(10**6):
+            pass
+
+    outer = sys.gettrace()
+    with pytest.raises(AssertionError, match="^101 trace events, over the limit of 100$"):
+        trace_events(spin, limit=100)
+    assert sys.gettrace() is outer
     assert gc.isenabled()
