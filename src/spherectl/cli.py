@@ -8,6 +8,7 @@ diagnostics to stderr.  Exit codes partition outcomes:
     1  No
     2  invalid input
     3  Unknown / Inconclusive / verdict withheld
+   74  stdout cannot take the output, as on a full disk (EX_IOERR)
   141  stdout closed by its reader before all output was written (128 + SIGPIPE)
 
 The output format is --format, else the env var SPHERECTL_FORMAT, else JSON;
@@ -23,6 +24,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from contextlib import suppress
 from itertools import chain
 from types import SimpleNamespace
 
@@ -191,10 +193,11 @@ def _components_text(report: dict, ks: list[str]) -> tuple[str, str]:
 @functools.cache
 def _components_frame(fmt: str, scal: bool) -> tuple[int, int]:
     """The most fixed bytes of a components report's head and tail over each status and note, and a member's."""
-    moduli = _library("moduli")
+    moduli, member = _library("moduli"), _stand_in(bundle.BundleClass)
     def size(members, certified, banner, note):
-        report = moduli._components_dict(_stand_in(bundle.BundleClass), _MARK, [_MARK] * members, [], certified,
-                                         banner, moduli._CURVATURE_CLASSES[scal], note)
+        report = moduli.ComponentsReport.to_dict(_stand_in(
+            moduli.ComponentsReport, base=member, family=(member,) * members, certificates=(), certified=certified,
+            banner=banner, curvature_classes=moduli._CURVATURE_CLASSES[scal], note=note))
         return _fixed(report if fmt == "json" else "".join(_components_text(report, report["family"])),
                       "certificates")
     notes = (moduli.INFINITUDE_NOTE, moduli.INFINITUDE_NOTE_NONPOSITIVE, moduli.INFINITUDE_NOTE_OPPOSITE)
@@ -415,17 +418,24 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.flush()
             return code
         except ValueError as exc:
-            print(str(exc), file=sys.stderr)
+            # a refusal whose message cannot be written still exits 2 (sys.stderr is None if fd 2 was closed)
+            with suppress(AttributeError, OSError):
+                sys.stderr.write(f"{exc}\n")
             return 2
-    except BrokenPipeError:
-        # The reader closed stdout early (`spherectl ... | head`); stdout is
-        # flushed above so that this surfaces here, not at interpreter exit.
-        # Point fd 1 at /dev/null so that the flush at exit stays quiet, and
-        # exit as a shell reports a SIGPIPE kill: 128 + 13.
+    except OSError as exc:
+        # Stdout failed: its reader closed it early (`spherectl ... | head`), or it
+        # cannot take the output (`> /dev/full`).  Stdout is flushed above so that
+        # this surfaces here, not at interpreter exit.  Point fd 1 at /dev/null so
+        # that the flush at exit stays quiet, and exit as a shell reports a SIGPIPE
+        # kill, 128 + 13, or else with EX_IOERR.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        with suppress(AttributeError, OSError):
+            sys.stderr.write(f"cannot write the output: {exc}\n")
+        return 74
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)

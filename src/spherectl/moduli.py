@@ -248,28 +248,17 @@ class ComponentsReport(_Value):
         self._set_note(self, note)
 
     def to_dict(self, quote_provenance: bool = False) -> dict:
-        return _components_dict(self.base, self.pairs, [b.pont for b in self.family],
-                                [c.to_dict(quote_provenance) for c in self.certificates], self.certified,
-                                self.banner, self.curvature_classes, self.note)
-
-
-def _components_dict(
-    base: BundleClass, pairs: int, family: list[int], certificates: list[dict], certified: bool | None,
-    banner: str | None, curvature_classes: tuple[str, ...], note: str,
-) -> dict:
-    """The JSON form of a components report from its fields, family the members' k and
-    certificates their dicts: the one owner of its keys, for ComponentsReport.to_dict and _components_head."""
-    return {
-        "n": base.euler,
-        "l": base.pont,
-        "pairs": pairs,
-        "family": family,
-        "certificates": certificates,
-        "certified": certified,
-        "banner": banner,
-        "curvature_classes": list(curvature_classes),
-        "note": note,
-    }
+        return {
+            "n": self.base.euler,
+            "l": self.base.pont,
+            "pairs": self.pairs,
+            "family": [b.pont for b in self.family],
+            "certificates": [c.to_dict(quote_provenance) for c in self.certificates],
+            "certified": self.certified,
+            "banner": self.banner,
+            "curvature_classes": list(self.curvature_classes),
+            "note": self.note,
+        }
 
 
 def infinite_components_report(
@@ -300,16 +289,17 @@ def _opposite_sum(b: BundleClass) -> int:
 
 
 def _components_head(b: BundleClass, pairs: int, include_scal: bool = True) -> dict:
-    """ComponentsReport.to_dict() of the family of b without its certificates, from the members' k
-    (no BundleClass per member), with certified, banner and note in O(1) (README "Components"):
-    with pairs >= 1 some pair fails exactly when l < 0, 56n | l and 1 <= -l/(56n) <= 2*pairs - 1."""
+    """The head of the family of b, built as _census_rows builds the census head: ComponentsReport.to_dict, the
+    one owner of the report's keys, of a report with no members or certificates, then family the members' k (no
+    BundleClass per member); certified, banner and note in O(1) (README "Components"): with pairs >= 1 some
+    pair fails exactly when l < 0, 56n | l and 1 <= -l/(56n) <= 2*pairs - 1."""
     if pairs < 0:
         raise ValueError("pairs must be nonnegative")
     family, z = list(_family_ks(b, pairs + 1)), _opposite_sum(b)
     certified = None if pairs == 0 else not 0 < z <= 2 * pairs - 1
     note = INFINITUDE_NOTE if b.pont > 0 else INFINITUDE_NOTE_OPPOSITE if z > 0 else INFINITUDE_NOTE_NONPOSITIVE
-    return _components_dict(b, pairs, family, [], certified, BANNER if certified else None,
-                            _CURVATURE_CLASSES[bool(include_scal)], note)
+    return {**ComponentsReport(b, pairs, (), (), certified, BANNER if certified else None,
+                               _CURVATURE_CLASSES[bool(include_scal)], note).to_dict(), "family": family}
 
 
 def _components_rows(

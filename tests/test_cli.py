@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from unittest import mock
@@ -949,6 +950,29 @@ class TestClosedPipe:
         code = proc.wait(timeout=60)
         assert b"Traceback" not in err
         assert code == 141  # 128 + SIGPIPE
+
+
+class TestFailedWrite:
+    """A write that fails for another reason than a closed pipe exits 74 (EX_IOERR), never a verdict's
+    code, and a refusal whose message cannot be written still exits 2."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--n1", "1", "--k1", "3", "--n2", "1", "--k2", "115"],  # Yes, exit 0 when written
+        ["components", "--n", "1", "--l", "3", "--pairs", "300", "--format", "pretty"],
+    ])
+    def test_full_stdout_exits_74_with_one_line(self, argv):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "spherectl.cli", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, timeout=60)
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
+        assert proc.returncode == 74
+
+    def test_refusal_with_stderr_closed_exits_2(self):
+        proc = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "spherectl.cli",
+                               "invariants", "--n", "0", "--k", "0"], capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, b"")
 
 
 def estimate(refusal: str) -> int:
