@@ -154,6 +154,7 @@ def _emit(head: str | dict, key: str | None = None, rows: Iterable[str] = (), ta
     sys.stdout.write(head)
     sys.stdout.writelines(rows)
     sys.stdout.write(tail)
+    sys.stdout.flush()  # so that a failed write surfaces in main, not at interpreter exit
 
 
 _emit_json = _emit  # perfbench/layers.py traces the writer by this name, and so each alias of it
@@ -413,32 +414,29 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = (_recognize(sys.argv[1:] if argv is None else argv)
                 or _build_parser().parse_args(argv, SimpleNamespace()))
-        try:
-            code = args.func(args, _resolve_format(args))
-            sys.stdout.flush()
-            return code
-        except ValueError as exc:
-            # a refusal whose message cannot be written still exits 2 (sys.stderr is None if fd 2 was closed)
-            with suppress(AttributeError, OSError):
-                sys.stderr.write(f"{exc}\n")
-            return 2
+        return args.func(args, _resolve_format(args))
+    except SystemExit as exc:  # --help and usage errors, whose text argparse has written
+        return exc.code
+    except ValueError as exc:
+        message, code = f"{exc}\n", 2
     except OSError as exc:
         # Stdout failed: its reader closed it early (`spherectl ... | head`), or it
-        # cannot take the output (`> /dev/full`).  Stdout is flushed above so that
-        # this surfaces here, not at interpreter exit.  Point fd 1 at /dev/null so
-        # that the flush at exit stays quiet, and exit as a shell reports a SIGPIPE
-        # kill, 128 + 13, or else with EX_IOERR.
+        # cannot take the output (`> /dev/full`).  Point fd 1 at /dev/null so that
+        # the flush at exit stays quiet, and exit as a shell reports a SIGPIPE kill,
+        # 128 + 13, or else with EX_IOERR.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         if isinstance(exc, BrokenPipeError):
             return 141
-        with suppress(AttributeError, OSError):
-            sys.stderr.write(f"cannot write the output: {exc}\n")
-        return 74
+        message, code = f"cannot write the output: {exc}\n", 74
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
+    # a message that cannot be written still exits with its code (sys.stderr is None if fd 2 was closed)
+    with suppress(AttributeError, OSError):
+        sys.stderr.write(message)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,26 +1,38 @@
-"""What the tests share: a runner of the CLI's main, a recorder of the calls a code path makes,
-and a count of the Python trace events it runs."""
+"""What the tests share: a runner of the CLI's main, a runner of a fresh interpreter, a recorder of
+the calls a code path makes, and a count of the Python trace events it runs."""
 
 from __future__ import annotations
 
 import contextlib
 import gc
 import io
+import os
+import subprocess
 import sys
 
+import spherectl
 from spherectl.cli import main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(spherectl.__file__)))
 
 
 def run(*argv: str) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of main(argv), the code of a SystemExit (--help and argparse's
-    usage errors) read as the exit code."""
+    """(exit code, stdout, stderr) of main(argv)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exit:
-            code = exit.code
+        code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def fresh_interpreter(*argv: str, script: str | None = None, redirect: str = "") -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of a fresh `python -m spherectl.cli argv`, or `python -c script argv`,
+    that imports spherectl from this checkout.  sh applies redirect, such as "1>&-" or "1>/dev/full",
+    to the child it execs, so the child starts with those fds closed or pointed elsewhere."""
+    command = [sys.executable, *(("-m", "spherectl.cli") if script is None else ("-c", script)), *argv]
+    if redirect:
+        command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
+    proc = subprocess.run(command, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def record_calls(monkeypatch, owner, name="__init__"):

@@ -16,7 +16,7 @@ from spherectl.bundle import make_bundle
 from spherectl.classify import census
 from spherectl.cli import main
 from spherectl.moduli import infinite_components_report
-from helpers import record_calls, run, trace_events
+from helpers import fresh_interpreter, record_calls, run, trace_events
 from test_classify import census_reference
 from test_golden import CORPUS, FORMATS as FORMAT_PINS
 
@@ -305,14 +305,9 @@ class TestOutputContract:
         assert out == "euler\tk\n3\t1\n3\t337\n"
 
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "spherectl.cli", "classify",
-             "--n1", "1", "--k1", "1", "--n2", "1", "--k2", "3"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 1
-        assert json.loads(proc.stdout)["reason"] == "MuInvariantDiffer"
+        code, out, _ = fresh_interpreter("classify", "--n1", "1", "--k1", "1", "--n2", "1", "--k2", "3")
+        assert code == 1
+        assert json.loads(out)["reason"] == "MuInvariantDiffer"
 
     def test_negative_parameters_parse(self):
         code, out, _ = run("invariants", "--n", "1", "--k", "-5")
@@ -962,17 +957,13 @@ class TestFailedWrite:
         ["components", "--n", "1", "--l", "3", "--pairs", "300", "--format", "pretty"],
     ])
     def test_full_stdout_exits_74_with_one_line(self, argv):
-        with open("/dev/full", "wb") as full:
-            proc = subprocess.run([sys.executable, "-m", "spherectl.cli", *argv], stdout=full,
-                                  stderr=subprocess.PIPE, timeout=60)
-        assert b"Traceback" not in proc.stderr
-        assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
-        assert proc.returncode == 74
+        code, _, err = fresh_interpreter(*argv, redirect="1>/dev/full")
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert code == 74
 
     def test_refusal_with_stderr_closed_exits_2(self):
-        proc = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "spherectl.cli",
-                               "invariants", "--n", "0", "--k", "0"], capture_output=True, timeout=60)
-        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert fresh_interpreter("invariants", "--n", "0", "--k", "0", redirect="2>&-")[:2] == (2, "")
 
 
 def estimate(refusal: str) -> int:

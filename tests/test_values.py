@@ -11,10 +11,7 @@ from __future__ import annotations
 import ast
 import copy
 import json
-import os
 import pickle
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +43,7 @@ from spherectl import (
     separation_certificate,
     theta7_neg,
 )
+from helpers import fresh_interpreter
 
 B = BundleClass
 
@@ -288,13 +286,11 @@ def test_bundle_class_value_property(n, k):
         b.pont = k + 2
 
 
-def fresh_interpreter(code: str, *argv: str) -> str:
-    """The stdout of code run with argv in a fresh interpreter that imports spherectl from this checkout."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spherectl.__file__)))
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+def stdout_of(script: str, *argv: str) -> str:
+    """The stdout of script run with argv in a fresh interpreter, which must exit 0."""
+    code, out, err = fresh_interpreter(*argv, script=script)
+    assert code == 0, err
+    return out
 
 
 def test_import_loads_no_code_generation_modules():
@@ -304,7 +300,7 @@ def test_import_loads_no_code_generation_modules():
         "import sys, spherectl.cli; "
         "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules))))"
     )
-    assert fresh_interpreter(code).strip() == ""
+    assert stdout_of(code).strip() == ""
 
 
 def test_well_formed_query_loads_no_argparse():
@@ -316,7 +312,7 @@ def test_well_formed_query_loads_no_argparse():
         "    assert main(['census', '--n', '1', '--from', '1', '--to', '300']) == 0\n"
         "print(' '.join(sorted({'argparse', 'gettext'} & set(sys.modules))))"
     )
-    assert fresh_interpreter(code).strip() == ""
+    assert stdout_of(code).strip() == ""
 
 
 # a cold query of each command and the library modules it loads (README "Cold start")
@@ -348,7 +344,7 @@ def test_a_cold_query_loads_only_the_modules_its_command_runs(argv, modules):
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('spherectl'))))\n"
         "print(heapq_before or 'heapq' not in sys.modules)"
     )
-    loaded, no_heapq = fresh_interpreter(code, *argv).split("\n")[:2]
+    loaded, no_heapq = stdout_of(code, *argv).split("\n")[:2]
     assert "spherectl.cli" not in loaded.split()
     assert set(loaded.split()) == {"spherectl"} | {f"spherectl.{m}" for m in modules}
     assert no_heapq == "True"
@@ -372,7 +368,7 @@ def test_the_package_loads_its_modules_on_the_first_read_of_a_name():
         "print(json.dumps([before, loaded(), spherectl.__all__]))"
     )
     for first_read in ("name", "star"):
-        before, after, names = json.loads(fresh_interpreter(code, first_read))
+        before, after, names = json.loads(stdout_of(code, first_read))
         assert before == []
         assert after == [f"spherectl.{m}" for m in ("bundle", "classify", "exactnum", "moduli", "space")]
         assert len(names) == len(set(names)) == 41
