@@ -8,7 +8,7 @@ diagnostics to stderr.  Exit codes partition outcomes:
     1  No
     2  invalid input
     3  Unknown / Inconclusive / verdict withheld
-   74  stdout cannot take the output, as on a full disk (EX_IOERR)
+   74  stdout cannot take the output, as on a full disk or with fd 1 closed (EX_IOERR)
   141  stdout closed by its reader before all output was written (128 + SIGPIPE)
 
 The output format is --format, else the env var SPHERECTL_FORMAT, else JSON;
@@ -143,6 +143,8 @@ def _json_frame(payload: dict, key: str) -> tuple[str, str]:
 def _emit(head: str | dict, key: str | None = None, rows: Iterable[str] = (), tail: str = "") -> None:
     """The one writer of every command: a text head, then rows, then tail; a dict head as json.dumps(head,
     indent=2, sort_keys=True), the list at key written from rows around _json_frame, each led by ",\n"."""
+    if sys.stdout is None:  # fd 1 was closed before the run
+        raise OSError("stdout is closed")
     if isinstance(head, dict):
         rows = iter(rows)
         first = next(rows, None)
@@ -387,10 +389,14 @@ def _build_parser():
     imports neither argparse nor gettext.  parse_args keeps no state between calls."""
     import argparse
 
-    parser = argparse.ArgumentParser(prog="spherectl", description="Exact invariants, classification and "
-                                     "moduli-space separation certificates for linear S^3-bundles over S^4.",
-                                     epilog=f"components, family and census print at most {MAX_OUTPUT_BYTES} "
-                                     "bytes (256 MiB): a request for more exits 2 before any work.")
+    class Parser(argparse.ArgumentParser):  # argparse's own writer swallows a failed write of the help text
+        def print_help(self, file=None):
+            _emit(self.format_help())
+
+    parser = Parser(prog="spherectl", description="Exact invariants, classification and "
+                    "moduli-space separation certificates for linear S^3-bundles over S^4.",
+                    epilog=f"components, family and census print at most {MAX_OUTPUT_BYTES} "
+                    "bytes (256 MiB): a request for more exits 2 before any work.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (func, summary, options) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
@@ -420,13 +426,14 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         message, code = f"{exc}\n", 2
     except OSError as exc:
-        # Stdout failed: its reader closed it early (`spherectl ... | head`), or it
-        # cannot take the output (`> /dev/full`).  Point fd 1 at /dev/null so that
-        # the flush at exit stays quiet, and exit as a shell reports a SIGPIPE kill,
-        # 128 + 13, or else with EX_IOERR.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # Stdout failed: its reader closed it early (`spherectl ... | head`), it cannot
+        # take the output (`> /dev/full`), or it was closed before the run (`>&-`).
+        # Point an open fd 1 at /dev/null so that the flush at exit stays quiet, and
+        # exit as a shell reports a SIGPIPE kill, 128 + 13, or else with EX_IOERR.
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         if isinstance(exc, BrokenPipeError):
             return 141
         message, code = f"cannot write the output: {exc}\n", 74

@@ -966,6 +966,47 @@ class TestFailedWrite:
         assert fresh_interpreter("invariants", "--n", "0", "--k", "0", redirect="2>&-")[:2] == (2, "")
 
 
+# One argv per way out of main, with its exit code when stdout takes every byte: every command
+# writes through _emit, so one command stands for the others.
+IO_PATHS = {
+    "Yes": (["classify", "--n1", "1", "--k1", "3", "--n2", "1", "--k2", "115"], 0),
+    "No": (["classify", "--n1", "1", "--k1", "1", "--n2", "1", "--k2", "3"], 1),
+    "Unknown": (["classify", "--n1", "5", "--k1", "1", "--n2", "5", "--k2", "111"], 3),
+    "pretty census": (["census", "--n", "1", "--from", "1", "--to", "223", "--format", "pretty"], 0),
+    "help": (["--help"], 0),
+    "census help": (["census", "--help"], 0),
+    "usage error": (["census", "--n", "1", "--from", "1"], 2),
+    "refusal": (["invariants", "--n", "0", "--k", "0"], 2),
+}
+# the sh redirections of each I/O state, and whether stdout can take the output in it
+IO_STATES = {
+    "stdout closed": ("1>&-", False),
+    "stdout full": ("1>/dev/full", False),
+    "stderr closed": ("2>&-", True),
+    "both closed": ("1>&- 2>&-", False),
+}
+
+
+@pytest.mark.parametrize("state", IO_STATES)
+@pytest.mark.parametrize("path", IO_PATHS)
+def test_exit_code_in_every_io_state(monkeypatch, path, state):
+    """0, 1 or 3 only when stdout took every byte, else 74 (a closed pipe's 141 is TestClosedPipe's),
+    with one line on stderr when there is a stderr; 2 for usage errors and refusals in every state."""
+    (argv, code), (redirect, writable) = IO_PATHS[path], IO_STATES[state]
+    if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage text to the terminal width
+    got, out, err = fresh_interpreter(*argv, redirect=redirect)
+    assert "Traceback" not in err
+    if code == 2:
+        assert got == 2
+    elif writable:
+        assert (got, out) == run(*argv)[:2]
+    else:
+        assert got == 74
+        assert err.count("\n") == ("2>&-" not in redirect) and err.endswith("\n" if err else "")
+
+
 def estimate(refusal: str) -> int:
     """The output size that a refusal over MAX_OUTPUT_BYTES states."""
     return int(refusal.split("output of about ")[1].split()[0])
