@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .bundle import BundleClass, _family_ks
-from .exactnum import QmodZ, Residue, _Value
+from .exactnum import QmodZ, Residue, _Value, _decimal
 from .space import _MU_NUM, _MU_NUM_FOLDED, _mu
 
 __all__ = [
@@ -225,7 +225,7 @@ class CensusReport(_Value):
         lines = ["representative\tmembers_count\tmu"]
         for c in self.classes:
             mu = str(c.mu) if c.mu is not None else "-"
-            lines.append(f"{c.representative}\t{c.members_count}\t{mu}")
+            lines.append(f"{_decimal(c.representative)}\t{_decimal(c.members_count)}\t{mu}")
         return "\n".join(lines)
 
 

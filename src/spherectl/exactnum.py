@@ -8,11 +8,23 @@ values are immutable, so they can be shared freely between threads.
 
 from __future__ import annotations
 
+import sys
 from functools import total_ordering
 from math import gcd
 from operator import attrgetter
 
 __all__ = ["QmodZ", "Rational", "Residue", "qmodz_add", "qmodz_neg"]
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size: past CPython's int<->str digit limit (absent before 3.10.7), which this
+    reads and never sets, the digits of |n| above and below the limit's power of ten, joined."""
+    try:
+        return str(n)
+    except ValueError:
+        digits = sys.get_int_max_str_digits()
+        high, low = divmod(abs(n), 10**digits)
+        return "-" * (n < 0) + _decimal(high) + str(low).zfill(digits)
 
 
 class _Value:
@@ -118,7 +130,7 @@ class Rational(_Value):
         return self.den == 1
 
     def __str__(self) -> str:
-        return f"{self.num}/{self.den}"
+        return f"{_decimal(self.num)}/{_decimal(self.den)}"
 
 
 @total_ordering
@@ -168,4 +180,4 @@ class Residue(_Value):
         self._set_modulus(self, modulus)
 
     def __str__(self) -> str:
-        return f"{self.value} mod {self.modulus}"
+        return f"{_decimal(self.value)} mod {_decimal(self.modulus)}"

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .bundle import BundleClass, _family_ks
-from .exactnum import Rational, _Value
+from .exactnum import Rational, _Value, _decimal
 
 __all__ = [
     "ComponentsReport", "GluedManifoldInvariants", "SeparationCertificate", "deduce_p1sq_zero",
@@ -211,7 +211,7 @@ def separation_certificate(
     p1sq_x = Rational(4 * (b0.pont * b0.pont - b1.pont * b1.pont), n)
     return SeparationCertificate(
         (b0, b1),
-        (f"GZ({b0.pont})", f"GZ({b1.pont})"),
+        (f"GZ({_decimal(b0.pont)})", f"GZ({_decimal(b1.pont)})"),
         # sign(X) = sign(W_k0) - sign(W_k1) = 1 - 1: both disk bundles have signature +1
         GluedManifoldInvariants(0, p1sq_x, FORCED_ZERO),
         # A-hat(X) = sign(X) = 0 force p1^2[X] = 0 (deduce_p1sq_zero): a nonzero value separates

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 
 from .bundle import BundleClass, Orientation, POSITIVE
-from .exactnum import QmodZ, Rational, _Value, qmodz_neg
+from .exactnum import QmodZ, Rational, _Value, _decimal, qmodz_neg
 
 __all__ = [
     "CohomologyTable", "SpaceDossier", "cohomology", "dossier", "fold_orientation", "is_homotopy_sphere",
@@ -67,7 +67,7 @@ def cohomology(b: BundleClass) -> CohomologyTable:
     only on |euler|, never on the Pontryagin parameter.
     """
     m = abs(b.euler)
-    return CohomologyTable(("Z", "0", "0", "0", "0" if m == 1 else f"Z/{m}Z", "0", "0", "Z"))
+    return CohomologyTable(("Z", "0", "0", "0", "0" if m == 1 else f"Z/{_decimal(m)}Z", "0", "0", "Z"))
 
 
 def is_homotopy_sphere(b: BundleClass) -> bool:

@@ -1,5 +1,6 @@
-"""What the tests share: a runner of the CLI's main, a runner of a fresh interpreter, a recorder of
-the calls a code path makes, and a count of the Python trace events it runs."""
+"""What the tests share: a runner of the CLI's main, a runner of a fresh interpreter, a setter of the
+int<->str digit limit, a recorder of the calls a code path makes, and a count of the Python trace
+events it runs."""
 
 from __future__ import annotations
 
@@ -33,6 +34,20 @@ def fresh_interpreter(*argv: str, script: str | None = None, redirect: str = "")
         command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
     proc = subprocess.run(command, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@contextlib.contextmanager
+def int_str_digits(limit: int):
+    """Run the body with CPython's int<->str digit limit set to `limit`, if it has one."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def record_calls(monkeypatch, owner, name="__init__"):

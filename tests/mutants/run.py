@@ -82,6 +82,8 @@ KNOWN = {
     ("exactnum", "den < 0", "cmp < -> <="): "den == 0 has already raised ZeroDivisionError",
     ("exactnum", "den < 0", "int"): "den < 1 is den <= 0 for ints, and den == 0 has already raised",
     ("exactnum", "g > 1", "cmp > -> >="): "dividing by g == 1 changes nothing; the test only saves two divisions",
+    ("exactnum", "n < 0", "cmp < -> <="): "n is past the digit limit there, so never 0",
+    ("exactnum", "n < 0", "int"): "n is past the digit limit there, so never 0, and n < 1 is n <= 0 for ints",
     ("space", "range(112)", "int"): "_MU_NUM[112] is never read: every index is k % 112",
     ("space", "h_limit: int=56", "int"): "mu has period 56 in h, so 57 values of h realize the same set as 56",
     ("space", "2 * h - 1", "arith - -> +"):

@@ -16,7 +16,7 @@ from spherectl.bundle import make_bundle
 from spherectl.classify import census
 from spherectl.cli import main
 from spherectl.moduli import infinite_components_report
-from helpers import fresh_interpreter, record_calls, run, trace_events
+from helpers import fresh_interpreter, int_str_digits, record_calls, run, trace_events
 from test_classify import census_reference
 from test_golden import CORPUS, FORMATS as FORMAT_PINS
 
@@ -538,20 +538,6 @@ class TestComponentsNote:
         code, out, _ = run("components", "--n", "2", "--l", "0", "--pairs", "2")
         assert code == 0
         assert "positive parameters" not in json.loads(out)["note"]
-
-
-@contextlib.contextmanager
-def int_str_digits(limit: int):
-    """Run the body with CPython's int<->str digit limit set to `limit`, if it has one."""
-    if not hasattr(sys, "get_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 class TestHugeParameters:

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from spherectl.exactnum import QmodZ, Rational, Residue, qmodz_add, qmodz_neg
+from spherectl.exactnum import QmodZ, Rational, Residue, _decimal, qmodz_add, qmodz_neg
+from helpers import int_str_digits
 
 nonzero_ints = st.integers(min_value=-10**6, max_value=10**6).filter(lambda x: x != 0)
 ints = st.integers(min_value=-10**6, max_value=10**6)
@@ -196,3 +198,17 @@ class TestResidue:
 
     def test_str(self):
         assert str(Residue(-13, 28)) == "15 mod 28"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str digit limit")
+def test_decimal_text_at_the_minimum_digit_limit():
+    """At CPython's least digit limit, 640, _decimal prints what str prints with no limit: ints of 640 and 641
+    digits, a low part with leading zeros, more parts than two, and negative ints; and it sets no limit."""
+    values = [10**640 - 1, 10**640, -10**640 - 1, 10**2000 + 7, -(3 * 10**1300 + 10**641 + 42), 10**5000 // 7]
+    with int_str_digits(0):
+        want = [str(v) for v in values] + [f"{10**700 + 1}/3", f"{10**640 + 2} mod {10**650}"]
+    with int_str_digits(640):
+        got = [_decimal(v) for v in values] + [str(Rational(10**700 + 1, 3)), str(Residue(10**640 + 2, 10**650))]
+        assert sys.get_int_max_str_digits() == 640
+    assert got == want
+

@@ -12,14 +12,16 @@ import ast
 import copy
 import json
 import pickle
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spherectl
 from spherectl import (
     NEGATIVE,
+    POSITIVE,
     BundleClass,
     CensusClass,
     CensusReport,
@@ -38,12 +40,14 @@ from spherectl import (
     cohomology,
     dossier,
     homeomorphic,
+    gz_family,
     infinite_components_report,
+    make_bundle,
     oriented_diffeomorphic,
     separation_certificate,
     theta7_neg,
 )
-from helpers import fresh_interpreter
+from helpers import fresh_interpreter, int_str_digits
 
 B = BundleClass
 
@@ -372,3 +376,30 @@ def test_the_package_loads_its_modules_on_the_first_read_of_a_name():
         assert before == []
         assert after == [f"spherectl.{m}" for m in ("bundle", "classify", "exactnum", "moduli", "space")]
         assert len(names) == len(set(names)) == 41
+
+
+def library_texts(k: int) -> list:
+    """Every public to_dict(), __str__ and to_tsv() that prints k, an odd int, or an int of its size."""
+    b, c, wide = make_bundle(1, k), make_bundle(1, k + 112), make_bundle(k, k + 2)
+    return [
+        str(Rational(k, k + 2)), str(QmodZ(k, 2 * k + 1)), str(Residue(k, k * k)),
+        *(dossier(x, o).to_dict() for x in (b, wide) for o in (POSITIVE, NEGATIVE)), cohomology(wide).to_list(),
+        oriented_diffeomorphic(b, c).to_dict(), homeomorphic(b, wide).to_dict(), [x.to_dict() for x in gz_family(b, 2)],
+        separation_certificate(b, c).to_dict(True), infinite_components_report(b, 2).to_dict(True),
+        *(r.to_dict() for r in (census(1, k, k + 300), census(1, -k - 300, -k, True))),
+        *(r.to_tsv() for r in (census(1, k, k + 300), census(1, -k - 300, -k, True))),
+    ]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str digit limit")
+@settings(max_examples=5, deadline=None)
+@given(st.integers(4301, 20000).flatmap(lambda digits: st.integers(10 ** (digits - 1), 10**digits - 1)))
+@example(10**4300 + 1)
+def test_library_prints_ints_past_the_digit_limit(k):
+    """Under CPython's default 4300-digit limit, which only the CLI lifts, the library prints the text that it
+    prints with no limit: the text of every int, not a ValueError."""
+    with int_str_digits(4300):
+        got = library_texts(k | 1)
+    with int_str_digits(0):
+        assert got == library_texts(k | 1)
+
