@@ -25,14 +25,23 @@ def run(*argv: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a fresh interpreter: this one, importing spherectl from this checkout, with
+    stdout buffered as by default whatever PYTHONUNBUFFERED says, so that a write into a closed pipe or
+    a full device fails where the program flushes, not at the write."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def fresh_interpreter(*argv: str, script: str | None = None, redirect: str = "") -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of a fresh `python -m spherectl.cli argv`, or `python -c script argv`,
-    that imports spherectl from this checkout.  sh applies redirect, such as "1>&-" or "1>/dev/full",
-    to the child it execs, so the child starts with those fds closed or pointed elsewhere."""
+    in child_env().  sh applies redirect, such as "1>&-" or "1>/dev/full", to the child it execs, so the
+    child starts with those fds closed or pointed elsewhere."""
     command = [sys.executable, *(("-m", "spherectl.cli") if script is None else ("-c", script)), *argv]
     if redirect:
         command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
-    proc = subprocess.run(command, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    proc = subprocess.run(command, capture_output=True, text=True, env=child_env(), timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
 
 

@@ -23,7 +23,8 @@ it) with its whitespace collapsed, and a key that recurs in a module gets
 key, so KNOWN survives edits elsewhere; --since uses them only to pick the
 mutants whose node spans a line that `git diff -U0 REV` adds or changes in
 src/spherectl.  A KNOWN entry that is no longer a mutant is printed as STALE,
-and one that a test now kills as KILLED.
+and one that a test now kills as KILLED; either fails the run, so that KNOWN
+lists exactly the survivors.
 
 Before any mutant, the unmutated package runs the same suite once, with no
 time limit, as a control; if it fails, the run stops with exit status 2.  Each
@@ -36,8 +37,8 @@ Stdlib only, on 2 worker processes:
   python tests/mutants/run.py --sample 40   # 40 mutants drawn with SAMPLE_SEED
   python tests/mutants/run.py --since REV   # the mutants on the lines changed since REV
 
-Exit status 0 when no live mutant survives, 1 when one does, 2 when the
-control fails or git cannot diff against REV.
+Exit status 0 when no live mutant survives and no KNOWN entry is STALE or
+KILLED, 1 otherwise, 2 when the control fails or git cannot diff against REV.
 """
 
 from __future__ import annotations
@@ -69,9 +70,6 @@ SYMBOL = {ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">"
           ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//", ast.Mod: "%"}
 
 # (module, source text, operator) -> why no test can kill the mutant
-_SIGPIPE = ("is part of the SIGPIPE idiom of the Python docs (signal module, 'Note on SIGPIPE'), kept on "
-            "purpose; without it a reader that closes the pipe after 100 bytes still sees exit 141 and an "
-            "empty stderr on CPython 3.11.7, with 3, 20 and 200 pairs")
 _UNSIGNED_AT_ZERO = ("charges {} a sign byte also at {} = 0, where none prints negative: one byte more per int, "
                      "which only loosens the estimate")
 _FARTHER = ("bounds k by l + {}*{} instead of the last {} member: k = max(|l|, |l + x|) grows with x, "
@@ -85,7 +83,6 @@ KNOWN = {
     ("exactnum", "n < 0", "cmp < -> <="): "n is past the digit limit there, so never 0",
     ("exactnum", "n < 0", "int"): "n is past the digit limit there, so never 0, and n < 1 is n <= 0 for ints",
     ("space", "range(112)", "int"): "_MU_NUM[112] is never read: every index is k % 112",
-    ("space", "h_limit: int=56", "int"): "mu has period 56 in h, so 57 values of h realize the same set as 56",
     ("space", "2 * h - 1", "arith - -> +"):
         "k = 2h + 1 over h < 56 runs through -1, 1, ..., 109 instead of 1, ..., 111: the same odd "
         "residues mod 112, where mu has period 112",
@@ -122,9 +119,10 @@ KNOWN = {
     ("cli", "(1, frame, args.n, args.l, 112 * args.n)", "int"):
         "counts the family head twice: the head is part of what is written, and its estimate exceeds "
         "it only by a byte or two per int",
-    ("cli", "sys.stdout.flush()", "stmt"): f"flushing inside the try {_SIGPIPE}",
-    ("cli", "os.dup2(devnull, sys.stdout.fileno())", "stmt"): f"pointing fd 1 at /dev/null {_SIGPIPE}",
-    ("cli", "os.close(devnull)", "stmt"): f"closing the spare descriptor {_SIGPIPE}",
+    ("cli", "os.close(devnull)", "stmt"):
+        "main's failed-write handler closes the spare descriptor just before the process exits, as the SIGPIPE "
+        "idiom of the Python docs does (signal module, 'Note on SIGPIPE'); left open, it changes no exit code "
+        "and no byte of stdout or stderr",
 }
 
 
@@ -272,7 +270,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     todo = mutants()
-    for key in sorted(set(KNOWN) - {m[:3] for m in todo}):
+    stale = sorted(set(KNOWN) - {m[:3] for m in todo})
+    for key in stale:
         print(f"STALE    {key[0]}  {key[2]}  {key[1]}: listed in KNOWN but no longer a mutant")
     if args.since is not None:
         git = subprocess.run(["git", "diff", "-U0", "--no-prefix", args.since, "--", "src/spherectl/"], cwd=ROOT,
@@ -293,20 +292,23 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     counts = {"killed": 0, "timeout": 0, "known": 0, "live": 0}
+    known_killed = 0
     start = time.monotonic()
     with ThreadPoolExecutor(WORKERS) as pool:
         runs = pool.map(lambda m: _run(_test_files(m[0]), limit, m[0], m[3]), todo)
         for (module, text, operator, _, _), (status, seconds) in zip(todo, runs):
+            known = (module, text, operator) in KNOWN
             if status == "survived":
-                status = "known" if (module, text, operator) in KNOWN else "live"
+                status = "known" if known else "live"
             counts[status] += 1
-            if status != "killed" or (module, text, operator) in KNOWN:
+            known_killed += status == "killed" and known
+            if status != "killed" or known:
                 print(f"{status.upper():8} {module}  {operator}  {text}  ({seconds:.0f} s)", flush=True)
     what = "mutants" if args.since is None else f"changed sites since {args.since}"
     print(f"{len(todo)} {what} in {time.monotonic() - start:.0f} s: {counts['killed']} killed, "
           f"{counts['timeout']} killed by the {limit:.0f} s limit, {counts['known']} known survivors, "
           f"{counts['live']} live survivors")
-    return 1 if counts["live"] else 0
+    return 1 if counts["live"] or stale or known_killed else 0
 
 
 if __name__ == "__main__":

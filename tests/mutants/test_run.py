@@ -1,5 +1,6 @@
-"""The --since line filter of run.py, fed synthetic `git diff -U0 --no-prefix` output, and the
-time limit that _run passes to a suite, on synthetic test files.
+"""The --since line filter of run.py, fed synthetic `git diff -U0 --no-prefix` output, the
+time limit that _run passes to a suite, on synthetic test files, and main's exit status, on
+synthetic mutants and KNOWN entries.
 
 This file sits beside run.py, outside the tests/test_*.py glob that a mutant's
 suite is built from, so no mutant run pays for it.
@@ -72,3 +73,20 @@ def test_a_suite_with_no_limit_runs_to_the_end_on_its_copy(tmp_path):
     test = tmp_path / "test_passes.py"
     test.write_text("import spherectl\n\n\ndef test_copy():\n    assert 'spherectl-mutant-' in spherectl.__file__\n")
     assert run._run([str(test)], None)[0] == "survived"
+
+
+@pytest.mark.parametrize("known, status, exit_status", [
+    ({}, "killed", 0),
+    ({("exactnum", "a", "int"): "why"}, "survived", 0),  # a known survivor
+    ({}, "survived", 1),  # a live survivor
+    ({("exactnum", "a", "int"): "why"}, "killed", 1),  # KILLED: a test now kills the entry
+    ({("exactnum", "gone", "int"): "why"}, "killed", 1),  # STALE: the entry is no longer a mutant
+])
+def test_a_known_entry_that_is_stale_or_killed_fails_the_run(monkeypatch, capsys, known, status, exit_status):
+    monkeypatch.setattr(run, "mutants", lambda: [("exactnum", "a", "int", 0, range(1, 2))])
+    monkeypatch.setattr(run, "KNOWN", known)
+    # the control passes; the one mutant ends with status
+    monkeypatch.setattr(run, "_run", lambda files, limit, module=None, index=0: (
+        "survived" if module is None else status, 1.0))
+    assert run.main([]) == exit_status
+

@@ -16,7 +16,7 @@ from spherectl.bundle import make_bundle
 from spherectl.classify import census
 from spherectl.cli import main
 from spherectl.moduli import infinite_components_report
-from helpers import fresh_interpreter, int_str_digits, record_calls, run, trace_events
+from helpers import child_env, fresh_interpreter, int_str_digits, record_calls, run, trace_events
 from test_classify import census_reference
 from test_golden import CORPUS, FORMATS as FORMAT_PINS
 
@@ -918,13 +918,21 @@ class TestListRenderers:
 
 
 class TestClosedPipe:
-    def test_reader_closing_early_exits_141_quietly(self):
+    # a reader that stops after 100 bytes of a long output, which fails at a write, and one that reads
+    # nothing of a short output, which fails at _emit's flush and would fail again at exit but for
+    # main pointing fd 1 at /dev/null
+    @pytest.mark.parametrize("argv, read", [
+        (["components", "--n", "1", "--l", "3", "--pairs", "200"], 100),
+        (["classify", "--n1", "1", "--k1", "3", "--n2", "1", "--k2", "115"], 0),
+    ])
+    def test_reader_closing_early_exits_141_quietly(self, argv, read):
         proc = subprocess.Popen(
-            [sys.executable, "-m", "spherectl.cli", "components", "--n", "1", "--l", "3", "--pairs", "200"],
+            [sys.executable, "-m", "spherectl.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=child_env(),
         )
-        assert len(proc.stdout.read(100)) == 100
+        assert len(proc.stdout.read(read)) == read
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
@@ -1221,10 +1229,12 @@ class TestOutputEstimate:
         self.assert_bounds(argv + ["--quote-provenance"] * quote)
 
     # 2^288 + 1 and 2^680 + 1 have bit lengths where the digit bound is sharp; of the
-    # members 0 and 112000, only the last bounds k
+    # members 0 and 112000, only the last bounds k; at l = 5003 and count 90 the last
+    # member, 14971, has a digit more than both l and |l - 112 * 89| = 4965
     @pytest.mark.parametrize("n, l, count, fmt", [
         (3, 1, 0, "json"), (3, 1, 0, "tsv"), (3, 1, 0, "pretty"), (1, 1, 4681, "json"),
         (1, -9999, 4681, "json"), (1, 2**288 + 1, 1, "json"), (1, 2**680 + 1, 1, "json"), (1000, 0, 2, "json"),
+        (1, 5003, 90, "json"), (1, 5003, 90, "tsv"), (1, 5003, 90, "pretty"),
     ])
     def test_family(self, n, l, count, fmt):
         self.assert_bounds(["family", "--n", str(n), "--l", str(l), "--count", str(count), "--format", fmt])
