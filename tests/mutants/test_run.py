@@ -82,7 +82,7 @@ def test_a_suite_with_no_limit_runs_to_the_end_on_its_copy(tmp_path):
     ({("exactnum", "a", "int"): "why"}, "killed", 1),  # KILLED: a test now kills the entry
     ({("exactnum", "gone", "int"): "why"}, "killed", 1),  # STALE: the entry is no longer a mutant
 ])
-def test_a_known_entry_that_is_stale_or_killed_fails_the_run(monkeypatch, capsys, known, status, exit_status):
+def test_a_known_entry_that_is_stale_or_killed_fails_the_run(monkeypatch, known, status, exit_status):
     monkeypatch.setattr(run, "mutants", lambda: [("exactnum", "a", "int", 0, range(1, 2))])
     monkeypatch.setattr(run, "KNOWN", known)
     # the control passes; the one mutant ends with status

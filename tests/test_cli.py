@@ -1186,6 +1186,9 @@ class TestWorkLimits:
     )
     @example("components", 3, -1, 1, "pretty", False)  # the head and tail outweigh one certificate
     @example("census", 1, -5, 1, "tsv", False)  # the TSV header outweighs one class
+    # the last of 90 members, 14971, has a digit more than l and l - 112 * 89: a search that finds an
+    # estimate missing it shrinks for about 45 s, where this example fails at once
+    @example("family", 1, 5003, 89, "json", False)
     def test_output_estimate_bounds_the_output(self, command, n, l, size, fmt, quote):
         # the estimate is at least the output, and never more than twice the output plus 64 KiB
         l += (l - n) % 2
