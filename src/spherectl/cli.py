@@ -393,6 +393,10 @@ def _build_parser():
         def print_help(self, file=None):
             _emit(self.format_help())
 
+        def print_usage(self, file=None):  # error() passes sys.stderr, which is None with fd 2 closed: not stdout
+            if file is not None:
+                super().print_usage(file)
+
     parser = Parser(prog="spherectl", description="Exact invariants, classification and "
                     "moduli-space separation certificates for linear S^3-bundles over S^4.",
                     epilog=f"components, family and census print at most {MAX_OUTPUT_BYTES} "

@@ -89,4 +89,3 @@ def test_a_known_entry_that_is_stale_or_killed_fails_the_run(monkeypatch, known,
     monkeypatch.setattr(run, "_run", lambda files, limit, module=None, index=0: (
         "survived" if module is None else status, 1.0))
     assert run.main([]) == exit_status
-
