@@ -393,7 +393,7 @@ def _build_parser():
         def print_help(self, file=None):
             _emit(self.format_help())
 
-        def print_usage(self, file=None):  # error() passes sys.stderr, which is None with fd 2 closed: not stdout
+        def print_usage(self, file=None):  # argparse reads None as stdout; error() passes a closed stderr as None
             if file is not None:
                 super().print_usage(file)
 
