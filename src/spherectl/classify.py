@@ -18,7 +18,7 @@ key homotopy spheres by the mu table of space, folded when unoriented.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from bisect import bisect_left
 
 from .bundle import BundleClass, _family_ks
 from .exactnum import QmodZ, Residue, _Value, _decimal
@@ -238,9 +238,9 @@ def _census_firsts(n: int, k_from: int, k_to: int) -> range:
 
 def _census_rows(
     n: int, k_from: int, k_to: int, unoriented: bool = False
-) -> tuple[CensusReport, Iterable[tuple[tuple[int, ...], int, QmodZ | None]]]:
-    """The census report with classes=(), and its classes as rows (firsts, count, mu) in the
-    order of firsts[0], as README "Census" sets out; census states the cost model."""
+) -> tuple[CensusReport, list[tuple[tuple[int, ...] | range, int, QmodZ | None]]]:
+    """The census report with classes=(), and rows (firsts, count, mu) in the order of firsts[0]: a class for
+    n = 1, and for n > 1 a run of classes, one per first member, of count members each (README "Census")."""
     if n <= 0:
         raise ValueError("census requires n > 0")
     if k_to < k_from:
@@ -252,15 +252,15 @@ def _census_rows(
     q, s = divmod(valid, 56 * n)
     unknown = 0 if n == 1 else valid * (valid - 1) // 2 - s * q * (q + 1) // 2 - (56 * n - s) * q * (q - 1) // 2
     head = CensusReport(n, k_from, k_to, unoriented, (k_to - k_from + 1) - valid, (), unknown)
-    firsts, step = _census_firsts(n, k_from, k_to), 112 * n
-    if n > 1:
-        return head, (((f,), (k_to - f) // step + 1, None) for f in firsts)
+    firsts = _census_firsts(n, k_from, k_to)
+    if n > 1:  # two runs of one-residue classes: the first s residues, then the rest
+        return head, [(firsts[:s], q + 1, None), (firsts[s:], q, None)]
     table = _MU_NUM_FOLDED if unoriented else _MU_NUM
     groups: dict[int, list[int]] = {}
     for first in firsts:
         groups.setdefault(table[first % 112], []).append(first)
-    # the first members ascend, so the groups come in the order of their representatives
-    return head, [(tuple(group), sum((k_to - f) // step + 1 for f in group), _mu(x)) for x, group in groups.items()]
+    # the firsts ascend, so groups come in representative order, and the firsts below firsts[s] have q + 1 members
+    return head, [(tuple(g), len(g) * q + bisect_left(g, firsts.start + 2 * s), _mu(x)) for x, g in groups.items()]
 
 
 def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusReport:
@@ -275,5 +275,7 @@ def census(n: int, k_from: int, k_to: int, unoriented: bool = False) -> CensusRe
     """
     head, rows = _census_rows(n, k_from, k_to, unoriented)
     step, stop = 112 * n, k_to + 1
-    classes = tuple(CensusClass(fs[0], tuple(range(f, stop, step) for f in fs), mu) for fs, _, mu in rows)
+    # an n > 1 row is a run of classes of one first member each, which zip(firsts) yields as 1-tuples
+    classes = tuple(CensusClass(fs[0], tuple(range(f, stop, step) for f in fs), mu)
+                    for firsts, _, mu in rows for fs in (zip(firsts) if mu is None else (firsts,)))
     return CensusReport(n, k_from, k_to, unoriented, head.skipped, classes, head.unknown_pairs_count)

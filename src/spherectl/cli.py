@@ -116,9 +116,9 @@ _MARK = "\x00"
 _SLOT = json.dumps(_MARK)[1:-1]  # _MARK in JSON text
 
 
-def _fixed(text: str | dict, key: str = "") -> int:
-    """The bytes of a sample's text, or of _json_frame(text, key) for a payload, less its ints (_MARK)."""
-    text = "".join(_json_frame(text, key)) if isinstance(text, dict) else text
+def _fixed(text: str | tuple[str, str] | dict, key: str = "") -> int:
+    """The bytes of a sample's text, a frame's two texts or _json_frame(text, key) of a payload, less its ints."""
+    text = "".join(_json_frame(text, key) if isinstance(text, dict) else text)
     return len(text.replace(f'"{_SLOT}"', "").replace(_SLOT, "").replace(_MARK, "").encode())
 
 
@@ -140,19 +140,17 @@ def _json_frame(payload: dict, key: str) -> tuple[str, str]:
     return f'{head}"{key}": [', f"\n  ]{tail}\n"
 
 
-def _emit(head: str | dict, key: str | None = None, rows: Iterable[str] = (), tail: str = "") -> None:
-    """The one writer of every command: a text head, then rows, then tail; a dict head as json.dumps(head,
-    indent=2, sort_keys=True), the list at key written from rows around _json_frame, each led by ",\n"."""
+def _emit(head: str | tuple[str, str] | dict, key: str | None = None, rows: Iterable[str] = (), tail: str = "") -> None:
+    """The one writer of every command: a text head, then rows, then tail; a dict head as json.dumps(head, indent=2,
+    sort_keys=True), its list at key of rows led by ",\n" in its _json_frame, which a tuple head is, cut before."""
     if sys.stdout is None:  # fd 1 was closed before the run
         raise OSError("stdout is closed")
     if isinstance(head, dict):
-        rows = iter(rows)
+        head = _json_frame(head, key) if key else f"{json.dumps(head, indent=2, sort_keys=True)}\n"
+    if isinstance(head, tuple):
+        (head, tail), rows = head, iter(rows)
         first = next(rows, None)
-        if first is None:
-            head, tail = f"{json.dumps(head if key is None else {**head, key: []}, indent=2, sort_keys=True)}\n", ""
-        else:
-            frame, tail = _json_frame(head, key)
-            head = f"{frame}{first[1:]}"
+        head, tail = (head, tail.replace("\n  ]", "]", 1)) if first is None else (f"{head}{first[1:]}", tail)
     sys.stdout.write(head)
     sys.stdout.writelines(rows)
     sys.stdout.write(tail)
@@ -237,29 +235,38 @@ def _cmd_components(args: SimpleNamespace, fmt: str) -> int:
 
 @functools.cache
 def _census_text(fmt: str, unoriented: bool, sphere: bool) -> tuple:
-    """A census's head from (report, classes), a JSON payload, and texts of rows (firsts, count, mu) in fmt,
-    the fixed bytes of its head and tail, the most of a row over the mu of odd k at n = 1 (sphere), and the
-    most rows: one per such mu at n = 1."""
+    """A census's head from (report, classes), a JSON frame for _emit, and texts of rows (firsts, count, mu) in
+    fmt, a run of n > 1 classes joined 32 to a write, the fixed bytes of its head and tail, the most of a row over
+    the mu of odd k at n = 1 (sphere), and the most rows: one per such mu at n = 1."""
     classify, space = _library("classify"), _library("space")
     Class, Report = classify.CensusClass, classify.CensusReport
     (c0, c1, c2, c3), quote = _row_pieces(Class.to_dict(_stand_in(Class))), '"{}"'.format
+    # the JSON frame, its tail cut as _row_pieces cuts, at n, k_from, k_to, skipped and unknown_pairs_count
+    frame, tail = _json_frame(Report.to_dict(_stand_in(Report, classes=(), unoriented=unoriented)), "classes")
+    j0, j1, j2, j3, j4, j5 = tail.replace(f'"{_SLOT}"', _SLOT).split(_SLOT)
     # to_tsv of a class of mu _MARK and one of mu None, and print's newline: header t0, row k t1 count t2 mu t3
     tsv = Report.to_tsv(_stand_in(Report, classes=(_stand_in(Class), _stand_in(Class, mu=None)))) + "\n"
     t0, t1, t2, t3, _, no_mu = tsv.split(_MARK)
     dash = no_mu.removeprefix(t2).removesuffix(t3)
-    head, texts = {
-        "json": (lambda h, classes: Report.to_dict(h), lambda rows: (
-            f"{c0}{c}{c1}{'null' if mu is None else quote(mu)}{c2}{fs[0]}{c3}" for fs, c, mu in rows)),
-        "tsv": (lambda h, classes: t0, lambda rows: (
-            f"{fs[0]}{t1}{c}{t2}{dash if mu is None else mu}{t3}" for fs, c, mu in rows)),
+    head, row = {
+        "json": (lambda h, classes: (frame, f"{j0}{h.n}{j1}{h.k_from}{j2}{h.k_to}{j3}{h.skipped}{j4}"
+                                            f"{h.unknown_pairs_count}{j5}"),
+                 lambda k, c, mu: f"{c0}{c}{c1}{'null' if mu is None else quote(mu)}{c2}{k}{c3}"),
+        "tsv": (lambda h, classes: t0, lambda k, c, mu: f"{k}{t1}{c}{t2}{dash if mu is None else mu}{t3}"),
         "pretty": (lambda h, classes: f"n={h.n} range=[{h.k_from}, {h.k_to}] classes={classes} "
-                   f"skipped={h.skipped} unknown_pairs={h.unknown_pairs_count}\n", lambda rows: (
-            f"  k={fs[0]}: {c} members, mu={'-' if mu is None else mu}\n" for fs, c, mu in rows)),
+                   f"skipped={h.skipped} unknown_pairs={h.unknown_pairs_count}\n",
+                   lambda k, c, mu: f"  k={k}: {c} members, mu={'-' if mu is None else mu}\n"),
     }[fmt]
+    def texts(rows):  # an n > 1 row is a run of classes whose texts differ only in their first member
+        for firsts, count, mu in rows:
+            if mu is not None:
+                yield row(firsts[0], count, mu)
+            else:
+                p, s = row(_MARK, count, None).split(_MARK)
+                yield from (f"{p}{(s + p).join(map(str, firsts[i:i + 32]))}{s}" for i in range(0, len(firsts), 32))
     mus = {space._mu(x) for x in (space._MU_NUM_FOLDED if unoriented else space._MU_NUM)[1::2]} if sphere else (None,)
-    frame = _fixed(head(_stand_in(Report, classes=(), unoriented=unoriented), _MARK), "classes")
-    row = max(_fixed(next(texts([((_MARK,), _MARK, mu)]))) for mu in mus)
-    return head, texts, frame, row, len(mus) if sphere else MAX_CENSUS_CLASSES
+    return (head, texts, _fixed(head(_stand_in(Report, classes=(), unoriented=unoriented), _MARK)),
+            max(_fixed(row(_MARK, _MARK, mu)) for mu in mus), len(mus) if sphere else MAX_CENSUS_CLASSES)
 
 
 def _cmd_census(args: SimpleNamespace, fmt: str) -> int:

@@ -806,6 +806,16 @@ def family_inputs(draw):
     return n, l + (l - n) % 2, draw(st.integers(min_value=1, max_value=40))
 
 
+def census_pretty_reference(payload: dict) -> str:
+    """The pretty printer of `census` as it was before it rendered closed-form rows: one line per class of
+    a report's to_dict() payload."""
+    (k_from, k_to), classes = payload["range"], payload["classes"]
+    lines = [f"n={payload['n']} range=[{k_from}, {k_to}] classes={len(classes)} skipped={payload['skipped']} "
+             f"unknown_pairs={payload['unknown_pairs_count']}"]
+    lines += [f"  k={c['representative']}: {c['members_count']} members, mu={c['mu'] or '-'}" for c in classes]
+    return "".join(line + "\n" for line in lines)
+
+
 class TestListRenderers:
     """census and family, printed row by row, against references that share no code
     with the renderers: the window-walking census of test_classify and the library
@@ -834,6 +844,27 @@ class TestListRenderers:
     @example((7, -50, 732), False, "pretty")
     @example((7, -50, 733), True, "json")
     @example((7, -50, 736), False, "tsv")
+    # an n > 1 run is written 32 classes to a write: 31, 32 and 33 classes, all of q + 1 = 1 member
+    @example((2, 2, 62), False, "json")
+    @example((2, 2, 64), True, "json")
+    @example((2, 2, 66), False, "json")
+    @example((2, 2, 62), True, "tsv")
+    @example((2, 2, 64), False, "tsv")
+    @example((2, 2, 66), True, "tsv")
+    @example((2, 2, 62), False, "pretty")
+    @example((2, 2, 64), True, "pretty")
+    @example((2, 2, 66), False, "pretty")
+    # valid = 168 + s at n = 3: the q + 1 -> q split after s = 31, 32 and 33 classes, inside, at and
+    # just after the end of the first write
+    @example((3, 1, 397), True, "json")
+    @example((3, 1, 399), False, "json")
+    @example((3, 1, 401), True, "json")
+    @example((3, 1, 397), False, "tsv")
+    @example((3, 1, 399), True, "tsv")
+    @example((3, 1, 401), False, "tsv")
+    @example((3, 1, 397), True, "pretty")
+    @example((3, 1, 399), False, "pretty")
+    @example((3, 1, 401), True, "pretty")
     def test_census_json_matches_reference(self, inputs, unoriented, fmt):
         n, k_from, k_to = inputs
         argv = ["census", "--n", str(n), "--from", str(k_from), "--to", str(k_to), "--format", fmt]
@@ -843,19 +874,10 @@ class TestListRenderers:
         else:  # too long to walk: the library report, which the closed-form tests check
             report = census(n, k_from, k_to, unoriented=unoriented)
             payload, tsv = report.to_dict(), report.to_tsv()
-        if fmt == "json":
-            expected = json.dumps(payload, indent=2, sort_keys=True)
-        elif fmt == "tsv":
-            expected = tsv
-        else:
-            classes = payload["classes"]
-            expected = "\n".join(
-                [f"n={n} range=[{k_from}, {k_to}] classes={len(classes)} skipped={payload['skipped']} "
-                 f"unknown_pairs={payload['unknown_pairs_count']}"]
-                + [f"  k={c['representative']}: {c['members_count']} members, mu={c['mu'] or '-'}" for c in classes]
-            )
+        expected = {"json": json.dumps(payload, indent=2, sort_keys=True) + "\n", "tsv": tsv + "\n",
+                    "pretty": census_pretty_reference(payload)}[fmt]
         assert code == 0
-        assert_same_text(out, expected + "\n")
+        assert_same_text(out, expected)
 
     @pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
     @pytest.mark.parametrize("n, k_from, k_to", [(1, -1000, 1000), (3, -1000, 1000)])
@@ -896,6 +918,31 @@ class TestListRenderers:
         events_run(2)  # warm the per-process caches, on the window that cannot hang
         short = events_run(2)
         assert events_run(10**9, short) == short
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
+    def test_cli_census_events_grow_less_than_the_classes(self, fmt):
+        # an n > 1 census writes its classes as runs, joined 32 to a write, so it runs no Python step per
+        # class: windows of 3 periods of 112n at n = 7 (392 classes) and n = 2 (112 classes) differ by
+        # fewer sys.settrace events than classes, where a step per class costs several events each
+        def events_run(n: int) -> int:
+            argv = ["census", "--n", str(n), "--from", "1", "--to", str(3 * 112 * n), "--format", fmt]
+            run(*argv)  # warm the per-process caches
+            (code, out, _), count = trace_events(lambda: run(*argv))
+            assert code == 0 and len(out.splitlines()) > 56 * n  # a line or more per class
+            return count
+
+        assert events_run(7) - events_run(2) < 56 * 7 - 56 * 2
+
+    @pytest.mark.parametrize("unoriented", [False, True])
+    @pytest.mark.parametrize("n, k_from, k_to", [(1, -1000, 1000), (3, -1000, 1000), (2, 3, 3)])
+    def test_cli_json_census_calls_no_json_dumps(self, monkeypatch, n, k_from, k_to, unoriented):
+        # the JSON head and tail are cut once per process, as the row pieces are, so a second
+        # census, of classes or of none, runs no JSON encoder
+        argv = ["census", "--n", str(n), "--from", str(k_from), "--to", str(k_to)] + ["--unoriented"] * unoriented
+        code, out, _ = run(*argv)
+        dumps = record_calls(monkeypatch, cli.json, "dumps")
+        assert run(*argv) == (code, out, "")
+        assert code == 0 and dumps == []
 
     @settings(max_examples=100, deadline=None)
     @given(family_inputs(), st.sampled_from(("json", "pretty", "tsv")))
