@@ -61,7 +61,13 @@ class _Value:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        def text(v: object) -> str:  # repr(v), but an int (not a bool) through _decimal, also in a tuple or range
+            if isinstance(v, tuple):
+                return f"({', '.join(map(text, v))}{',' * (len(v) == 1)})"
+            if isinstance(v, range):
+                return f"range({text(v.start)}, {text(v.stop)}{f', {text(v.step)}' * (v.step != 1)})"
+            return _decimal(v) if type(v) is int else repr(v)
+        body = ", ".join(f"{f}={text(getattr(self, f))}" for f in self._fields)
         return f"{self.__class__.__qualname__}({body})"
 
     def __setattr__(self, name: str, value: object) -> None:

@@ -178,6 +178,15 @@ class TestValueSemantics:
                 pytest.fail("class pattern did not match")
 
 
+def test_repr_prints_tuples_and_ranges_as_the_builtin_does():
+    # a range of step 1 prints no step, a 1-tuple a trailing comma, and an empty tuple ()
+    for obj in (CensusClass(1, (range(1, 5), range(-7, 9, 2)), None), CensusClass(5, (range(5, 6, 3),), QmodZ(1, 28)),
+                census(2, 3, 3), census(3, -5, 20)):
+        assert repr(obj) == expected_repr(obj, type(obj).__slots__)
+    assert repr(CensusClass(1, (range(1, 5),), None)) == (
+        "CensusClass(representative=1, member_ranges=(range(1, 5),), mu=None, members_count=4)")
+
+
 def test_repr_goldens():
     assert repr(Rational(6, 4)) == "Rational(num=3, den=2)"
     assert repr(QmodZ(-1, 28)) == "QmodZ(num=27, den=28)"
@@ -378,8 +387,19 @@ def test_the_package_loads_its_modules_on_the_first_read_of_a_name():
         assert len(names) == len(set(names)) == 41
 
 
+def library_values(k: int) -> list:
+    """An instance of every public value type, holding k, an odd int, or an int of its size where it holds an int."""
+    b, c = make_bundle(1, k), make_bundle(1, k + 112)
+    certificate, sphere_census = separation_certificate(b, c), census(1, -k - 300, -k, True)
+    return [
+        Rational(k, k + 2), QmodZ(k, 2 * k + 1), Residue(k, k * k), b, NEGATIVE, oriented_diffeomorphic(b, c),
+        Theta7Element.of(k), sphere_census.classes[0], sphere_census, census(3, k, k + 400),
+        cohomology(make_bundle(k, k + 2)), dossier(b), certificate.glued, certificate, infinite_components_report(b, 2),
+    ]
+
+
 def library_texts(k: int) -> list:
-    """Every public to_dict(), __str__ and to_tsv() that prints k, an odd int, or an int of its size."""
+    """Every public to_dict(), __str__, to_tsv() and repr() that prints k, an odd int, or an int of its size."""
     b, c, wide = make_bundle(1, k), make_bundle(1, k + 112), make_bundle(k, k + 2)
     return [
         str(Rational(k, k + 2)), str(QmodZ(k, 2 * k + 1)), str(Residue(k, k * k)),
@@ -388,7 +408,12 @@ def library_texts(k: int) -> list:
         separation_certificate(b, c).to_dict(True), infinite_components_report(b, 2).to_dict(True),
         *(r.to_dict() for r in (census(1, k, k + 300), census(1, -k - 300, -k, True))),
         *(r.to_tsv() for r in (census(1, k, k + 300), census(1, -k - 300, -k, True))),
+        *map(repr, library_values(k)),
     ]
+
+
+def test_library_values_hold_every_value_type():
+    assert {type(value) for value in library_values(3)} == set(VALUE_TYPES)
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str digit limit")
