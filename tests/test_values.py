@@ -390,10 +390,10 @@ def test_the_package_loads_its_modules_on_the_first_read_of_a_name():
 def library_values(k: int) -> list:
     """An instance of every public value type, holding k, an odd int, or an int of its size where it holds an int."""
     b, c = make_bundle(1, k), make_bundle(1, k + 112)
-    certificate, sphere_census = separation_certificate(b, c), census(1, -k - 300, -k, True)
+    certificate, sphere_census = separation_certificate(b, c), census(1, -k - 12, -k, True)
     return [
         Rational(k, k + 2), QmodZ(k, 2 * k + 1), Residue(k, k * k), b, NEGATIVE, oriented_diffeomorphic(b, c),
-        Theta7Element.of(k), sphere_census.classes[0], sphere_census, census(3, k, k + 400),
+        Theta7Element.of(k), sphere_census.classes[0], sphere_census, census(3, k, k + 12),
         cohomology(make_bundle(k, k + 2)), dossier(b), certificate.glued, certificate, infinite_components_report(b, 2),
     ]
 
