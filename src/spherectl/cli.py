@@ -116,10 +116,9 @@ _MARK = "\x00"
 _SLOT = json.dumps(_MARK)[1:-1]  # _MARK in JSON text
 
 
-def _fixed(text: str | tuple[str, str] | dict, key: str = "") -> int:
-    """The bytes of a sample's text, a frame's two texts or _json_frame(text, key) of a payload, less its ints."""
-    text = "".join(_json_frame(text, key) if isinstance(text, dict) else text)
-    return len(text.replace(f'"{_SLOT}"', "").replace(_SLOT, "").replace(_MARK, "").encode())
+def _fixed(text: str | tuple[str, str]) -> int:
+    """The bytes of a sample's text, or of a frame's two texts, less its ints: each int is a _MARK."""
+    return len("".join(text).replace(_MARK, "").encode())
 
 
 def _stand_in(cls: type, **fields) -> SimpleNamespace:
@@ -134,19 +133,20 @@ def _row_pieces(sample: dict) -> list[str]:
     return text.replace(f'"{_SLOT}"', _SLOT).split(_SLOT)
 
 
-def _json_frame(payload: dict, key: str) -> tuple[str, str]:
-    """The text that _emit writes before and after the rows of payload's list at key."""
-    head, tail = json.dumps({**payload, key: []}, indent=2, sort_keys=True).split(f'"{key}": []', 1)
-    return f'{head}"{key}": [', f"\n  ]{tail}\n"
+def _json_frame(payload: dict, key: str) -> tuple[list[str], list[str]]:
+    """The text that _emit writes before and after the rows of payload's list at key, each cut as _row_pieces cuts."""
+    text = json.dumps({**payload, key: []}, indent=2, sort_keys=True).replace(f'"{_SLOT}"', _SLOT)
+    head, tail = text.split(f'"{key}": []', 1)
+    return f'{head}"{key}": ['.split(_SLOT), f"\n  ]{tail}\n".split(_SLOT)
 
 
-def _emit(head: str | tuple[str, str] | dict, key: str | None = None, rows: Iterable[str] = (), tail: str = "") -> None:
+def _emit(head: str | tuple[str, str] | dict, rows: Iterable[str] = (), tail: str = "") -> None:
     """The one writer of every command: a text head, then rows, then tail; a dict head as json.dumps(head, indent=2,
-    sort_keys=True), its list at key of rows led by ",\n" in its _json_frame, which a tuple head is, cut before."""
+    sort_keys=True); a tuple head, a filled _json_frame, around rows led by ",\n", the items of its list."""
     if sys.stdout is None:  # fd 1 was closed before the run
         raise OSError("stdout is closed")
     if isinstance(head, dict):
-        head = _json_frame(head, key) if key else f"{json.dumps(head, indent=2, sort_keys=True)}\n"
+        head = f"{json.dumps(head, indent=2, sort_keys=True)}\n"
     if isinstance(head, tuple):
         (head, tail), rows = head, iter(rows)
         first = next(rows, None)
@@ -184,52 +184,63 @@ def _certificates(rows: Iterable, ks: list[str], pieces: list[str] | None) -> It
         yield "".join(parts)
 
 
-def _components_text(report: dict, ks: list[str]) -> tuple[str, str]:
-    """The text of a pretty components report before and after its certificates."""
-    status = (f"{report['banner']}\ncurvature: {' '.join(report['curvature_classes'])}" if report["banner"]
-              else "verdict withheld" if report["certified"] is None else "certification failed")
-    return f"{status}\nfamily: {' '.join(ks)}\n", f"{report['note']}\n"
-
-
 @functools.cache
-def _components_frame(fmt: str, scal: bool) -> tuple[int, int]:
-    """The most fixed bytes of a components report's head and tail over each status and note, and a member's."""
+def _components_cut(fmt: str, scal: bool) -> tuple:
+    """A components report's texts in fmt, cut at _MARK from the to_dict of stand-ins: frames[certified, banner, note]
+    gives texts(n, l, pairs, ks) before and after the certificates; certificate(quote, shared), cached, gives fill(n),
+    _certificates' pieces of a JSON certificate of shared (sign_X, ahat constraint, curvature classes, derivation note),
+    the fields every certificate shares, and its most fixed bytes; then the texts' most with one member, a member's."""
     moduli, member = _library("moduli"), _stand_in(bundle.BundleClass)
-    def size(members, certified, banner, note):
-        report = moduli.ComponentsReport.to_dict(_stand_in(
-            moduli.ComponentsReport, base=member, family=(member,) * members, certificates=(), certified=certified,
-            banner=banner, curvature_classes=moduli._CURVATURE_CLASSES[scal], note=note))
-        return _fixed(report if fmt == "json" else "".join(_components_text(report, report["family"])),
-                      "certificates")
-    notes = (moduli.INFINITUDE_NOTE, moduli.INFINITUDE_NOTE_NONPOSITIVE, moduli.INFINITUDE_NOTE_OPPOSITE)
-    one = max(size(1, *s, note) for s in ((True, moduli.BANNER), (False, None), (None, None)) for note in notes)
-    return one, size(2, True, moduli.BANNER, notes[0]) - size(1, True, moduli.BANNER, notes[0])
+    classes = moduli._CURVATURE_CLASSES[scal]
+    def frame(certified, banner, note):
+        if fmt != "json":
+            status = (f"{banner}\ncurvature: {' '.join(classes)}" if banner
+                      else "verdict withheld" if certified is None else "certification failed")
+            return lambda n, l, pairs, ks: (f"{status}\nfamily: {' '.join(ks)}\n", f"{note}\n")
+        (head,), (t0, t1, t2, t3, t4, t5) = _json_frame(moduli.ComponentsReport.to_dict(_stand_in(  # t1 between members
+            moduli.ComponentsReport, base=member, family=(member,) * 2, certificates=(), certified=certified,
+            banner=banner, curvature_classes=classes, note=note)), "certificates")
+        return lambda n, l, pairs, ks: (head, f"{t0}{t1.join(ks)}{t2}{l}{t3}{n}{t4}{pairs}{t5}")
+    frames = {(c, b, note): frame(c, b, note) for c, b in ((True, moduli.BANNER), (False, None), (None, None))
+              for note in (moduli.INFINITUDE_NOTE, moduli.INFINITUDE_NOTE_NONPOSITIVE, moduli.INFINITUDE_NOTE_OPPOSITE)}
+    one, two = (max(_fixed(texts(_MARK, _MARK, _MARK, [_MARK] * m)) for texts in frames.values()) for m in (1, 2))
+    @functools.cache
+    def certificate(quote, shared):  # the longer of a certificate that separates and one that does not
+        fill = lambda n: None
+        if shared:  # c0 k0 c1 k1 c2 k0 c3 k1 c4 n c5 p c6 verdict c7
+            sign_X, ahat, tags, note = shared
+            glued = _stand_in(moduli.GluedManifoldInvariants, sign_X=sign_X, p1sq_X=f"{_MARK}/1", ahat_constraint=ahat)
+            c0, c1, c2, c3, c4, c5, c6, c7 = _row_pieces(moduli.SeparationCertificate.to_dict(_stand_in(
+                moduli.SeparationCertificate, pair=(member,) * 2, metric_labels=(f"GZ({_MARK})",) * 2, glued=glued,
+                curvature_classes=tags, derivation_note=note), quote))
+            fill = lambda n: [c0, c1, c2, c3, f"{c4}{n}{c5}", c6, c7]
+        return fill, max(map(_fixed, _certificates([(0, [_MARK], z) for z in (None, 0)], [_MARK] * 2, fill(_MARK))))
+    return frames, certificate, one, two - one
 
 
 def _cmd_components(args: SimpleNamespace, fmt: str) -> int:
     moduli = _library("moduli")
     _check_limit("--pairs", args.pairs, MAX_PAIRS)
     b = bundle.make_bundle(args.n, args.l)
-    pieces = None
-    if fmt == "json":
-        # a certificate is the base's but for k0, k1, p1sq_X and verdict; -n stands in for n < 0
-        sample = [b if b.euler > 0 else bundle.make_bundle(-b.euler, b.pont)] * 2
-        sample = moduli.separation_certificate(*sample, args.scal).to_dict(args.quote_provenance)
-        sample.update(k0=_MARK, k1=_MARK, metric_labels=[f"GZ({_MARK})"] * 2, p1sq_X=f"{_MARK}/1", verdict=_MARK)
-        pieces = _row_pieces(sample)
+    shared = None
+    if fmt == "json":  # the fields every certificate of the report shares are the base's; -n sizes n < 0, refused later
+        cert = moduli.separation_certificate(*[b if b.euler > 0 else bundle.make_bundle(-b.euler, b.pont)] * 2,
+                                             args.scal)
+        shared = cert.glued.sign_X, cert.glued.ahat_constraint, cert.curvature_classes, cert.derivation_note
+    frames, certificate_cut, frame, member = _components_cut(fmt, args.scal)
+    fill, certificate = certificate_cut(args.quote_provenance, shared)
     # the head prints n, l, pairs, a member; a certificate k_i, k_j (m, < 0 if l is), p (any sign, |p| <= 896 pairs k)
+    # and in JSON its labels' k_i, k_j and n
     pairs = max(args.pairs, 0)
     k = max(abs(args.l), abs(args.l + 112 * args.n * pairs))
     m, p = -k if args.l < 0 else k, -(896 * pairs * k)
-    frame, member = _components_frame(fmt, args.scal)
-    certificate = max(_fixed(next(_certificates([(0, [_MARK], zero)], [_MARK] * 2, pieces))) for zero in (None, 0))
-    ints = (m, m, p) if pieces is None else (m, m, m, m, p)
+    ints = (m, m, p) if shared is None else (m, m, m, m, p, args.n)
     _check_output_size((1, frame, args.n, args.l, pairs, args.l), (pairs, member, m),
                        (pairs * (pairs + 1) // 2, certificate, *ints))
     report, rows = moduli._components_rows(b, args.pairs, include_scal=args.scal)
-    ks = [str(k) for k in report["family"]]
-    head, tail = (report, "") if fmt == "json" else _components_text(report, ks)
-    _emit(head, "certificates", _certificates(rows, ks, pieces), tail)
+    ks, pieces = [str(k) for k in report["family"]], fill(args.n)
+    head, tail = frames[report["certified"], report["banner"], report["note"]](args.n, args.l, args.pairs, ks)
+    _emit(head if pieces is None else (head, tail), _certificates(rows, ks, pieces), tail)
     return EXIT_CODES[moduli.DISTINCT_COMPONENTS if report["certified"] else moduli.INCONCLUSIVE]
 
 
@@ -241,9 +252,9 @@ def _census_text(fmt: str, unoriented: bool, sphere: bool) -> tuple:
     classify, space = _library("classify"), _library("space")
     Class, Report = classify.CensusClass, classify.CensusReport
     (c0, c1, c2, c3), quote = _row_pieces(Class.to_dict(_stand_in(Class))), '"{}"'.format
-    # the JSON frame, its tail cut as _row_pieces cuts, at n, k_from, k_to, skipped and unknown_pairs_count
-    frame, tail = _json_frame(Report.to_dict(_stand_in(Report, classes=(), unoriented=unoriented)), "classes")
-    j0, j1, j2, j3, j4, j5 = tail.replace(f'"{_SLOT}"', _SLOT).split(_SLOT)
+    # the JSON frame, its tail cut at n, k_from, k_to, skipped and unknown_pairs_count
+    (frame,), (j0, j1, j2, j3, j4, j5) = _json_frame(Report.to_dict(_stand_in(Report, classes=(),
+                                                                             unoriented=unoriented)), "classes")
     # to_tsv of a class of mu _MARK and one of mu None, and print's newline: header t0, row k t1 count t2 mu t3
     tsv = Report.to_tsv(_stand_in(Report, classes=(_stand_in(Class), _stand_in(Class, mu=None)))) + "\n"
     t0, t1, t2, t3, _, no_mu = tsv.split(_MARK)
@@ -283,7 +294,7 @@ def _cmd_census(args: SimpleNamespace, fmt: str) -> int:
     _check_output_size((1, frame, args.n, args.k_from, args.k_to, classes, window, window * window),
                        (min(classes, most), row_bytes, -k if args.k_from < 0 else k, window))
     head, rows = classify._census_rows(args.n, args.k_from, args.k_to, args.unoriented)
-    _emit(head_text(head, len(rows) if args.n == 1 else classes), "classes", texts(rows))
+    _emit(head_text(head, len(rows) if args.n == 1 else classes), texts(rows))
     return 0
 
 
@@ -297,14 +308,18 @@ def _cmd_realized_mu(args: SimpleNamespace, fmt: str) -> int:
 
 @functools.cache
 def _family_text(fmt: str) -> tuple:
-    """A family's head(n, l, step), a JSON payload, and member texts(n, ks) in fmt, with the fixed bytes of each."""
-    c0, c1, c2 = _row_pieces(bundle.BundleClass.to_dict(_stand_in(bundle.BundleClass)))
-    head, texts = {
-        "json": (lambda n, l, step: {"n": n, "l": l, "step": step}, lambda n, ks: (f"{c0}{n}{c1}{k}{c2}" for k in ks)),
-        "tsv": (lambda n, l, step: "euler\tk\n", lambda n, ks: (f"{n}\t{k}\n" for k in ks)),
-        "pretty": (lambda n, l, step: "", lambda n, ks: chain((f"{k} " for k in ks[:-1]), [f"{ks[-1]}\n"])),
-    }[fmt]
-    return head, texts, _fixed(head(_MARK, _MARK, _MARK), "members"), _fixed(next(texts(_MARK, [_MARK])))
+    """A family's head(n, l, step), a text or a JSON frame, member texts(n, ks) in fmt, and the fixed bytes of each."""
+    if fmt == "json":
+        c0, c1, c2 = _row_pieces(bundle.BundleClass.to_dict(_stand_in(bundle.BundleClass)))
+        (h0, h1), (t0, t1, t2) = _json_frame({"n": _MARK, "l": _MARK, "step": _MARK}, "members")  # l; n, step
+        head, texts = (lambda n, l, step: (f"{h0}{l}{h1}", f"{t0}{n}{t1}{step}{t2}"),
+                       lambda n, ks: (f"{c0}{n}{c1}{k}{c2}" for k in ks))
+    else:
+        head, texts = {
+            "tsv": (lambda n, l, step: "euler\tk\n", lambda n, ks: (f"{n}\t{k}\n" for k in ks)),
+            "pretty": (lambda n, l, step: "", lambda n, ks: chain((f"{k} " for k in ks[:-1]), [f"{ks[-1]}\n"])),
+        }[fmt]
+    return head, texts, _fixed(head(_MARK, _MARK, _MARK)), _fixed(next(texts(_MARK, [_MARK])))
 
 
 def _cmd_family(args: SimpleNamespace, fmt: str) -> int:
@@ -315,7 +330,7 @@ def _cmd_family(args: SimpleNamespace, fmt: str) -> int:
     _check_output_size((1, frame, args.n, args.l, 112 * args.n),
                        (args.count, row_bytes, args.n, -k if args.l < 0 else k))
     ks = bundle._family_ks(bundle.make_bundle(args.n, args.l), args.count)
-    _emit(head(args.n, args.l, ks.step), "members", texts(args.n, ks))
+    _emit(head(args.n, args.l, ks.step), texts(args.n, ks))
     return 0
 
 

@@ -93,7 +93,7 @@ KNOWN = {
     ("classify", "lambda b: 0", "int"): "the key is a constant, so any constant gives the same verdicts",
     ("classify", "n - k_from", "arith - -> +"): "n - k_from and n + k_from have the same parity",
     ("moduli", "b0.euler <= 0", "cmp <= -> <"): "BundleClass has already refused euler == 0",
-    ("cli", "json.dumps({**payload, key: []}, indent=2, sort_keys=True).split(f'\"{key}\": []', 1)", "int"):
+    ("cli", "text.split(f'\"{key}\": []', 1)", "int"):
         'the empty list of key occurs once in the report\'s JSON (a " inside a string is escaped), '
         "so a second split finds nothing",
     ("cli", "b.euler > 0", "cmp > -> >="): "BundleClass has already refused euler == 0",

@@ -944,6 +944,46 @@ class TestListRenderers:
         assert run(*argv) == (code, out, "")
         assert code == 0 and dumps == []
 
+    @pytest.mark.parametrize("argv, code", [
+        (["components", "--n", "1", "--l", "3", "--pairs", "3"], 0),  # certified
+        (["components", "--n", "2", "--l", "-112", "--pairs", "2"], 3),  # a pair fails, the opposite note
+        (["components", "--n", "2", "--l", "-110", "--pairs", "3"], 0),  # the nonpositive note
+        (["components", "--n", "1", "--l", "3", "--pairs", "0"], 3),  # withheld, no certificate
+        (["components", "--n", "3", "--l", "1", "--pairs", "3", "--no-scal"], 0),
+        (["components", "--n", "2", "--l", "2", "--pairs", "3", "--quote-provenance"], 0),
+        (["family", "--n", "1", "--l", "3", "--count", "5", "--format", "json"], 0),
+        (["family", "--n", "2", "--l", "-4", "--count", "40", "--format", "json"], 0),
+    ], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+    def test_cli_json_components_and_family_call_no_json_dumps(self, monkeypatch, argv, code):
+        # the certificate pieces and the report frames are cut once per process, as the census's are, so a
+        # second report, with certificates or without, runs no JSON encoder
+        assert run(*argv)[0] == code
+        out = run(*argv)[1]
+        dumps = record_calls(monkeypatch, cli.json, "dumps")
+        assert run(*argv) == (code, out, "")
+        assert dumps == []
+
+    def test_components_cut_is_bounded_whatever_n_and_l(self):
+        # the frames are cut once per format and --scal, and the certificate pieces once per value of the fields
+        # that every certificate of a report shares, not per n or l: 40 values of n over the three notes (a failed
+        # pair at an even n) leave 2 certificate entries, n = 1 having no derivation note
+        cli._components_cut.cache_clear()
+        for n in range(1, 41):
+            for l in (n, -n, -112 * n)[:3 - n % 2]:
+                assert run("components", "--n", str(n), "--l", str(l), "--pairs", "2")[0] in (0, 3)
+        assert cli._components_cut.cache_info().currsize == 1
+        assert cli._components_cut("json", True)[1].cache_info().currsize <= 8
+
+    def test_components_cut_follows_each_shared_field(self):
+        # one process, a report of each key in turn: a cut that missed derivation_note (n = 1 has none), the
+        # provenance or the scal>0 tag would print the previous report's text
+        for n, l, quote, scal in ((2, -110, False, True), (1, 3, False, True), (2, -110, True, True),
+                                  (2, -110, False, False)):
+            argv = ["components", "--n", str(n), "--l", str(l), "--pairs", "3"]
+            argv += ["--quote-provenance"] * quote + ["--no-scal"] * (not scal)
+            report = infinite_components_report(make_bundle(n, l), 3, scal).to_dict(quote)
+            assert run(*argv)[1] == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
     @settings(max_examples=100, deadline=None)
     @given(family_inputs(), st.sampled_from(("json", "pretty", "tsv")))
     @example((1, 1, 1), "json")
@@ -1313,8 +1353,12 @@ class TestOutputEstimate:
         argv = ["components", "--n", "3", "--l", "1", "--pairs", "30"] + ["--quote-provenance"] * quote
         before = stated(argv)
         monkeypatch.setattr(moduli, name, getattr(moduli, name) + added)
-        self.assert_bounds(argv)
-        assert stated(argv) - before >= len("".join(added)) * 30 * 31 // 2
+        cli._components_cut.cache_clear()  # the cut holds the text of PROVENANCE_STEPS
+        try:
+            self.assert_bounds(argv)
+            assert stated(argv) - before >= len("".join(added)) * 30 * 31 // 2
+        finally:
+            cli._components_cut.cache_clear()
 
     def test_a_longer_mu_lengthens_the_census_estimate(self, monkeypatch):
         # one n = 1 class printing a longer mu moves the estimate of every class row
