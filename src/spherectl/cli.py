@@ -188,8 +188,8 @@ def _certificates(rows: Iterable, ks: list[str], pieces: list[str] | None) -> It
 def _components_cut(fmt: str, scal: bool) -> tuple:
     """A components report's texts in fmt, cut at _MARK from the to_dict of stand-ins: frames[certified, banner, note]
     gives texts(n, l, pairs, ks) before and after the certificates; certificate(quote, shared), cached, gives fill(n),
-    _certificates' pieces of a JSON certificate of shared (sign_X, ahat constraint, curvature classes, derivation note),
-    the fields every certificate shares, and its most fixed bytes; then the texts' most with one member, a member's."""
+    _certificates' pieces of a JSON certificate of shared, the fields every certificate shares (moduli._shared_fields),
+    and its most fixed bytes; then the texts' most with one member, a member's."""
     moduli, member = _library("moduli"), _stand_in(bundle.BundleClass)
     classes = moduli._CURVATURE_CLASSES[scal]
     def frame(certified, banner, note):
@@ -222,11 +222,8 @@ def _cmd_components(args: SimpleNamespace, fmt: str) -> int:
     moduli = _library("moduli")
     _check_limit("--pairs", args.pairs, MAX_PAIRS)
     b = bundle.make_bundle(args.n, args.l)
-    shared = None
-    if fmt == "json":  # the fields every certificate of the report shares are the base's; -n sizes n < 0, refused later
-        cert = moduli.separation_certificate(*[b if b.euler > 0 else bundle.make_bundle(-b.euler, b.pont)] * 2,
-                                             args.scal)
-        shared = cert.glued.sign_X, cert.glued.ahat_constraint, cert.curvature_classes, cert.derivation_note
+    # the fields every JSON certificate of the report shares; |n| sizes n < 0, refused later
+    shared = moduli._shared_fields(abs(args.n), args.scal) if fmt == "json" else None
     frames, certificate_cut, frame, member = _components_cut(fmt, args.scal)
     fill, certificate = certificate_cut(args.quote_provenance, shared)
     # the head prints n, l, pairs, a member; a certificate k_i, k_j (m, < 0 if l is), p (any sign, |p| <= 896 pairs k)
@@ -237,11 +234,11 @@ def _cmd_components(args: SimpleNamespace, fmt: str) -> int:
     ints = (m, m, p) if shared is None else (m, m, m, m, p, args.n)
     _check_output_size((1, frame, args.n, args.l, pairs, args.l), (pairs, member, m),
                        (pairs * (pairs + 1) // 2, certificate, *ints))
-    report, rows = moduli._components_rows(b, args.pairs, include_scal=args.scal)
-    ks, pieces = [str(k) for k in report["family"]], fill(args.n)
-    head, tail = frames[report["certified"], report["banner"], report["note"]](args.n, args.l, args.pairs, ks)
+    (ks, certified, banner, note), rows = moduli._components_rows(b, args.pairs)
+    ks, pieces = [str(k) for k in ks], fill(args.n)
+    head, tail = frames[certified, banner, note](args.n, args.l, args.pairs, ks)
     _emit(head if pieces is None else (head, tail), _certificates(rows, ks, pieces), tail)
-    return EXIT_CODES[moduli.DISTINCT_COMPONENTS if report["certified"] else moduli.INCONCLUSIVE]
+    return EXIT_CODES[moduli.DISTINCT_COMPONENTS if certified else moduli.INCONCLUSIVE]
 
 
 @functools.cache

@@ -209,17 +209,24 @@ def separation_certificate(
     n = b0.euler
     # p1^2[W_k0] - p1^2[W_k1] = 4*k0^2/n - 4*k1^2/n, canonicalized once
     p1sq_x = Rational(4 * (b0.pont * b0.pont - b1.pont * b1.pont), n)
+    sign_x, ahat, tags, note = _shared_fields(n, include_scal)
     return SeparationCertificate(
         (b0, b1),
         (f"GZ({_decimal(b0.pont)})", f"GZ({_decimal(b1.pont)})"),
-        # sign(X) = sign(W_k0) - sign(W_k1) = 1 - 1: both disk bundles have signature +1
-        GluedManifoldInvariants(0, p1sq_x, FORCED_ZERO),
+        GluedManifoldInvariants(sign_x, p1sq_x, ahat),
         # A-hat(X) = sign(X) = 0 force p1^2[X] = 0 (deduce_p1sq_zero): a nonzero value separates
         _SEPARATION_VERDICTS[p1sq_x.num != 0],
         p1sq_x,
-        _CURVATURE_CLASSES[bool(include_scal)],
-        None if n == 1 else GENERAL_N_DERIVATION,
+        tags,
+        note,
     )
+
+
+def _shared_fields(n: int, include_scal: bool) -> tuple[int, str, tuple[str, ...], str | None]:
+    """The fields that every certificate over n shares: sign_X, the A-hat constraint, the curvature classes
+    and the derivation note.  sign(X) = sign(W_k0) - sign(W_k1) = 1 - 1, both disk bundles having signature
+    +1, and A-hat(X) is forced to zero, not computed."""
+    return 0, FORCED_ZERO, _CURVATURE_CLASSES[bool(include_scal)], None if n == 1 else GENERAL_N_DERIVATION
 
 
 class ComponentsReport(_Value):
@@ -270,15 +277,15 @@ def infinite_components_report(
     The verdict "certified" requires every pair to separate; with pairs = 0
     there is nothing to check and the verdict is withheld.
 
-    Cost model: the head of _components_head in O(pairs), then one
-    separation_certificate per pair, pairs*(pairs+1)/2 objects.
+    Cost model: the members' k and the status from _components_rows in O(1), then one
+    BundleClass per member and one separation_certificate per pair, pairs*(pairs+1)/2 objects.
     """
-    head = _components_head(b, pairs, include_scal)
-    family = tuple(BundleClass(b.euler, k) for k in head["family"])
+    (ks, certified, banner, note), _ = _components_rows(b, pairs)
+    family = tuple(BundleClass(b.euler, k) for k in ks)
     certificates = tuple(separation_certificate(family[i], family[j], include_scal)
                          for i in range(pairs) for j in range(i + 1, pairs + 1))
-    return ComponentsReport(b, pairs, family, certificates, head["certified"], head["banner"],
-                            _CURVATURE_CLASSES[bool(include_scal)], head["note"])
+    return ComponentsReport(b, pairs, family, certificates, certified, banner,
+                            _CURVATURE_CLASSES[bool(include_scal)], note)
 
 
 def _opposite_sum(b: BundleClass) -> int:
@@ -288,28 +295,19 @@ def _opposite_sum(b: BundleClass) -> int:
     return -l // (56 * n) if l % (56 * n) == 0 else 0
 
 
-def _components_head(b: BundleClass, pairs: int, include_scal: bool = True) -> dict:
-    """The head of the family of b, built as _census_rows builds the census head: ComponentsReport.to_dict, the
-    one owner of the report's keys, of a report with no members or certificates, then family the members' k (no
-    BundleClass per member); certified, banner and note in O(1) (README "Components"): with pairs >= 1 some
-    pair fails exactly when l < 0, 56n | l and 1 <= -l/(56n) <= 2*pairs - 1."""
+def _components_rows(
+    b: BundleClass, pairs: int
+) -> tuple[tuple[range, bool | None, str | None, str], Iterator[tuple[int, list[str], int | None]]]:
+    """The report of the family of b as (ks, certified, banner, note), ks the members' k (no BundleClass per member)
+    and the status in O(1) (README "Components"): with pairs >= 1 some pair fails exactly when l < 0, 56n | l and
+    1 <= -l/(56n) <= 2*pairs - 1; and the certificates as rows (i, ps, zero), one per member i < pairs: ps the text
+    of p1^2[X] = q[i] - q[j] for j = i+1..pairs, one f-string each, and zero the index of the one pair that can
+    have p1^2[X] = 0, or None."""
     if pairs < 0:
         raise ValueError("pairs must be nonnegative")
-    family, z = list(_family_ks(b, pairs + 1)), _opposite_sum(b)
+    ks, n, l, z = _family_ks(b, pairs + 1), b.euler, b.pont, _opposite_sum(b)
     certified = None if pairs == 0 else not 0 < z <= 2 * pairs - 1
-    note = INFINITUDE_NOTE if b.pont > 0 else INFINITUDE_NOTE_OPPOSITE if z > 0 else INFINITUDE_NOTE_NONPOSITIVE
-    return {**ComponentsReport(b, pairs, (), (), certified, BANNER if certified else None,
-                               _CURVATURE_CLASSES[bool(include_scal)], note).to_dict(), "family": family}
-
-
-def _components_rows(
-    b: BundleClass, pairs: int, include_scal: bool = True
-) -> tuple[dict, Iterator[tuple[int, list[str], int | None]]]:
-    """_components_head(b, pairs, include_scal), and the certificates as rows (i, ps, zero), one per
-    member i < pairs: ps the text of p1^2[X] = q[i] - q[j] for j = i+1..pairs, one f-string each, and
-    zero the index of the one pair that can have p1^2[X] = 0, or None (README "Components")."""
-    head = _components_head(b, pairs, include_scal)
-    n, l, z = b.euler, b.pont, _opposite_sum(b)
+    note = INFINITUDE_NOTE if l > 0 else INFINITUDE_NOTE_OPPOSITE if z > 0 else INFINITUDE_NOTE_NONPOSITIVE
 
     def rows() -> Iterator[tuple[int, list[str], int | None]]:
         q = [896 * l * j + 50176 * n * j * j for j in range(pairs + 1)]
@@ -317,4 +315,4 @@ def _components_rows(
             qi, zero = q[i], z - 2 * i - 1  # the index of j = z - i in the row, < 0 with z <= 0
             yield i, [f"{qi - qj}" for qj in q[i + 1:]], zero if 0 <= zero < pairs - i else None
 
-    return head, rows()
+    return (ks, certified, BANNER if certified else None, note), rows()

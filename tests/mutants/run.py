@@ -96,7 +96,6 @@ KNOWN = {
     ("cli", "text.split(f'\"{key}\": []', 1)", "int"):
         'the empty list of key occurs once in the report\'s JSON (a " inside a string is escaped), '
         "so a second split finds nothing",
-    ("cli", "b.euler > 0", "cmp > -> >="): "BundleClass has already refused euler == 0",
     # Mutants that only loosen the output estimate.  The tests hold it to written <= estimate <=
     # 2 * written + 64 KiB, and these keep it there: each adds at most a byte per int or one head.
     ("cli", "896 * pairs", "int"): "897 pairs k bounds |p| = 448(j - i)|k_i + k_j| <= 896 pairs k too",

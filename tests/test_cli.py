@@ -753,11 +753,11 @@ class TestComponentsRenderer:
         infinite_components_report(make_bundle(1, 3), 30)
         assert len(built) == 30 * 31 // 2
 
-    @pytest.mark.parametrize("fmt, certificates", [("json", 1), ("pretty", 0)])
-    def test_cli_cost_is_linear_in_pairs(self, monkeypatch, fmt, certificates):
-        # components is O(pairs): it builds the base bundle, no BundleClass per member, no more
-        # than the one sample certificate of the JSON output (of the base) with its one
-        # Rational, and one row per member i < pairs, while it prints 150*151/2 certificates
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_cli_cost_is_linear_in_pairs(self, monkeypatch, fmt):
+        # components is O(pairs): it builds the base bundle, no BundleClass per member, no
+        # certificate or Rational in either format, and one row per member i < pairs, while it
+        # prints 150*151/2 certificates
         built = {cls.__name__: record_calls(monkeypatch, cls)
                  for cls in (bundle.BundleClass, moduli.SeparationCertificate, exactnum.Rational)}
         yielded = []
@@ -772,7 +772,7 @@ class TestComponentsRenderer:
         assert code == 0
         assert out.count("DistinctComponents") == 150 * 151 // 2
         assert {name: len(calls) for name, calls in built.items()} == {
-            "BundleClass": 1, "SeparationCertificate": certificates, "Rational": certificates}
+            "BundleClass": 1, "SeparationCertificate": 0, "Rational": 0}
         assert len(yielded) == 150
 
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
@@ -1406,6 +1406,15 @@ class TestOutputEstimate:
                            ("1" + "0" * 2999 + "1", "bytes exceeds the limit of")):
             code, out, err = run("components", "--n", "-1", "--l", l, "--pairs", "500", "--format", fmt)
             assert (code, out) == (2, "") and message in err
+
+    def test_a_json_refusal_renders_no_parameter(self, monkeypatch):
+        # the fields every certificate shares come from n and --scal alone, so a refused JSON report
+        # takes no decimal text of l, which is quadratic in its 100,000 digits
+        decimals = record_calls(monkeypatch, moduli, "_decimal")
+        code, out, err = run("components", "--n", "1", "--l", "1" + "0" * 99998 + "1", "--pairs", "500",
+                             "--format", "json")
+        assert (code, out) == (2, "") and "bytes exceeds the limit of" in err
+        assert decimals == []
 
     @pytest.mark.parametrize("x, sharp", [
         (0, True), (1, True), (9, False), (10, True), (2**288 + 1, True), (2**680 + 1, False), (10**50 - 1, False),
